@@ -2,8 +2,10 @@
 
 Eigenvalue exponents are computed by the exact trace formula
     m_a = (1/r) * sum_k zeta_r^(-a*k) * Tr(g^k),
-which stays inside one cyclotomic field and self-checks integrality of
-every multiplicity.  Grading is attached to conjugacy classes through a
+which self-checks integrality of every multiplicity.  The group stays in
+its own field Q(zeta_N); only the r scalars Tr(g^k) are embedded into
+Q(zeta_lcm(N, r)), the smallest cyclotomic field holding both them and
+zeta_r.  Grading is attached to conjugacy classes through a
 representative, with class-constancy asserted at runtime.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import cyclotomic_field
 from .errors import InternalInvariantError, RequirementError
@@ -59,21 +61,18 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     """Exponents (with multiplicity) of the element's eigenvalues as powers
     of the distinguished primitive r-th root, r = element order.
 
-    Requires the group to be lifted so that zeta_r lies in its field.
+    The traces Tr(g^k), k < r, are embedded into Q(zeta_L) with
+    L = lcm(N, r), N the order of the group's field; the group itself is
+    not touched.  The distinguished root is zeta_r = zeta_L^(L/r), which
+    restricts to the group field's zeta_N as zeta_L^(L/N).
     """
-    element = group.elements[index]
-    r = element.order
-    field = group.field
-    if field.order % r != 0:
-        raise RequirementError(
-            f"field Q(zeta_{field.order}) does not contain zeta_{r}; "
-            "lift the group to its exponent field first"
-        )
+    r = group.elements[index].order
+    field = cyclotomic_field(lcm(group.field.order, r))
     zeta_r = field.zeta(field.order // r)
     traces = []
     acc = 0
     for k in range(r):
-        traces.append(group.elements[acc].trace())
+        traces.append(group.elements[acc].trace().embed(field))
         acc = group.mul(acc, index)
     n = group.dimension
     exponents = []
@@ -134,14 +133,13 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     asserting that all members of a class share the fractional expression."""
     if not group.in_sl:
         raise RequirementError("grading requires a subgroup of SL(n, C)")
-    lifted = group.lift_to_exponent_field()
     gradings = []
     buckets: dict[int, list[int]] = {}
     gamma1_zero = []
-    for k, cls in enumerate(lifted.classes):
-        expr = eigen_exponents(lifted, cls.representative)
+    for k, cls in enumerate(group.classes):
+        expr = eigen_exponents(group, cls.representative)
         for member in cls.members:
-            if eigen_exponents(lifted, member) != expr:
+            if eigen_exponents(group, member) != expr:
                 raise InternalInvariantError(
                     f"conjugacy class {k} is not age-constant"
                 )
@@ -150,7 +148,7 @@ def grade(group: MatrixGroup) -> GradedClassTable:
         buckets.setdefault(expr.age, []).append(k)
         if expr.age == 1 and expr.fix_dim == 0:
             gamma1_zero.append(k)
-    if buckets.get(0) != [lifted.class_of[0]] or gradings[lifted.class_of[0]].size != 1:
+    if buckets.get(0) != [group.class_of[0]] or gradings[group.class_of[0]].size != 1:
         raise InternalInvariantError("age-0 stratum is not exactly the identity class")
     return GradedClassTable(group, gradings, buckets, gamma1_zero)
 

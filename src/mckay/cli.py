@@ -180,30 +180,29 @@ def cmd_diagram(args) -> str:
 
 def cmd_ram(args) -> str:
     gf, group = _load(args)
-    lifted = group.lift_to_exponent_field()
-    if not 0 <= args.class_id < len(lifted.classes):
+    if not 0 <= args.class_id < len(group.classes):
         raise RequirementError(
             f"class id {args.class_id} out of range "
-            f"[0, {len(lifted.classes)})"
+            f"[0, {len(group.classes)})"
         )
-    rep = lifted.classes[args.class_id].representative
+    rep = group.classes[args.class_id].representative
     if rep == 0:
         raise RequirementError("the identity class carries no monomial valuation")
-    v = valuation.monomial_valuation(lifted, rep)
+    v = valuation.monomial_valuation(group, rep)
     expr = v.decomposition.expression
-    stab = valuation.stab_group(lifted, v)
-    ram = valuation.ram_group(lifted, v)
+    stab = valuation.stab_group(group, v)
+    ram = valuation.ram_group(group, v)
     a_f = sum(expr.exponents) - 1
     a_e = valuation.quotient_discrepancy(a_f, ram.degree)
     body = {
         "class_id": args.class_id,
-        "representative": lifted.element_name(rep),
+        "representative": group.element_name(rep),
         "fractional_expression": str(expr),
         "weights": list(v.weights),
         "weights_primitivized": tuple(v.weights) != expr.exponents,
-        "stab": [lifted.element_name(i) for i in stab],
+        "stab": [group.element_name(i) for i in stab],
         "stab_size": len(stab),
-        "ram": [lifted.element_name(i) for i in ram.members],
+        "ram": [group.element_name(i) for i in ram.members],
         "ramification_degree": ram.degree,
         "a_F": a_f,
         "a_E": _frac(a_e),
@@ -211,7 +210,7 @@ def cmd_ram(args) -> str:
     }
     if gf.format == "diagonal":
         probe = args.probe if args.probe else group.exponent
-        fingerprint = valuation.valuation_fingerprint(lifted, rep, probe)
+        fingerprint = valuation.valuation_fingerprint(group, rep, probe)
         body["probe_degree"] = probe
         body["fingerprint"] = {
             ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))

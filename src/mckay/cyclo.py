@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import InternalInvariantError, RequirementError
 
@@ -152,40 +151,46 @@ class CycNum:
         self.coeffs = coeffs
         self._hash = None
 
-    def _check_field(self, other: "CycNum"):
-        if self.field is not other.field:
-            raise RequirementError(
-                f"field mismatch: {self.field} vs {other.field}"
-            )
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check_field(other)
-        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_field(other)
-        return CycNum(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CycNum(self.field, tuple(-a for a in self.coeffs))
-
-    def _coerce(self, other):
+    def _operand(self, other):
+        """`other` as an element of this field, or NotImplemented for a
+        type that is not a CycNum or a rational."""
         if isinstance(other, CycNum):
+            if self.field is not other.field:
+                raise RequirementError(
+                    f"field mismatch: {self.field} vs {other.field}"
+                )
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return NotImplemented
 
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CycNum(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return CycNum(self.field, tuple(-a for a in self.coeffs))
+
     __radd__ = __add__
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_field(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         deg = self.field.degree
         conv = [_ZERO] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
@@ -208,8 +213,10 @@ class CycNum:
         return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational value equals its int/Fraction, so it hashes like one
         if self._hash is None:
-            self._hash = hash((self.field.order, self.coeffs))
+            value = self.as_rational()
+            self._hash = hash((self.field.order, self.coeffs) if value is None else value)
         return self._hash
 
     def __pow__(self, exponent: int):
@@ -266,7 +273,9 @@ class CycNum:
             t0, t1 = t1, t_next
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self * other.inverse()
 
     def as_rational(self) -> Fraction | None:
@@ -328,10 +337,6 @@ def multiplicative_order(x: CycNum, bound: int | None = None) -> int:
             return r
         acc = acc * x
     raise RequirementError("element is not a root of unity within the bound")
-
-
-def join_field(a: CyclotomicField, b: CyclotomicField) -> CyclotomicField:
-    return cyclotomic_field(a.order * b.order // gcd(a.order, b.order))
 
 
 class LiteralSyntaxError(RequirementError):

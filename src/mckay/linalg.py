@@ -31,14 +31,6 @@ def mat_vec(a: Matrix, v: tuple[CycNum, ...]) -> tuple[CycNum, ...]:
     return tuple(sum((x * y for x, y in zip(row, v)), row[0].field.zero()) for row in a)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scalar_mul(c: CycNum, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def trace(a: Matrix) -> CycNum:
     return sum((a[i][i] for i in range(len(a))), a[0][0].field.zero())
 

@@ -10,10 +10,14 @@ from __future__ import annotations
 from math import lcm
 
 from . import linalg
-from .cyclo import CyclotomicField, cyclotomic_field
 from .errors import ClosureCapError, RequirementError
 
 DEFAULT_CAP = 100_000
+
+
+def _key(entries):
+    """Dedup key of a matrix: the normal-form coefficients of its entries."""
+    return tuple(tuple(x.coeffs for x in row) for row in entries)
 
 
 class GroupElement:
@@ -26,9 +30,6 @@ class GroupElement:
         self.index = index
         self.word = word  # generator-index sequence from the BFS closure
         self.order = None  # filled in by the group once closed
-
-    def key(self):
-        return tuple(tuple(x.coeffs for x in row) for row in self.entries)
 
     def name(self, generator_names) -> str:
         if not self.word:
@@ -116,7 +117,7 @@ class MatrixGroup:
         if cached is not None:
             return cached
         product = linalg.mat_mul(self.elements[i].entries, self.elements[j].entries)
-        result = self._index[tuple(tuple(x.coeffs for x in row) for row in product)]
+        result = self._index[_key(product)]
         self._products[key] = result
         return result
 
@@ -187,46 +188,6 @@ class MatrixGroup:
         subgroups.sort(key=lambda sg: (len(sg.members), sg.members))
         return subgroups
 
-    def lift_to_exponent_field(self) -> "MatrixGroup":
-        """Re-embed into Q(zeta_L), L = lcm(field order, exponent), so the
-        eigenvalues of every element lie in the working field."""
-        target_order = lcm(self.field.order, self.exponent)
-        if target_order == self.field.order:
-            return self
-        return self._reembed(cyclotomic_field(target_order))
-
-    def _reembed(self, target: CyclotomicField) -> "MatrixGroup":
-        elements = []
-        index_map = {}
-        for old in self.elements:
-            entries = linalg.mat_embed(old.entries, target)
-            element = GroupElement(entries, old.index, old.word)
-            element.order = old.order
-            elements.append(element)
-            index_map[element.key()] = element.index
-        return MatrixGroup.__new_from_parts__(
-            self.dimension, target, elements, self.generator_indices,
-            self.generator_names, index_map, self,
-        )
-
-    @classmethod
-    def __new_from_parts__(cls, dimension, field, elements, generator_indices,
-                           generator_names, index_map, template):
-        group = cls.__new__(cls)
-        group.dimension = dimension
-        group.field = field
-        group.elements = elements
-        group.generator_indices = generator_indices
-        group.generator_names = generator_names
-        group._index = index_map
-        group._products = dict(template._products)
-        group.exponent = template.exponent
-        group.in_sl = template.in_sl
-        group._inverses = list(template._inverses)
-        group.classes = template.classes
-        group.class_of = template.class_of
-        return group
-
     def inverted_generators(self):
         """Generator matrices replaced by their inverses (the opposite
         choice of roots of unity; see the grading convention note)."""
@@ -258,7 +219,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     index_map = {}
 
     def add(entries, word):
-        key = tuple(tuple(x.coeffs for x in row) for row in entries)
+        key = _key(entries)
         existing = index_map.get(key)
         if existing is not None:
             return None
@@ -272,8 +233,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     for k, g in enumerate(generators):
         element = add(tuple(tuple(row) for row in g), (k,))
         if element is None:  # duplicate generator or identity
-            key = tuple(tuple(x.coeffs for x in row) for row in g)
-            element = elements[index_map[key]]
+            element = elements[index_map[_key(g)]]
         gen_elements.append(element)
 
     frontier = list(elements)

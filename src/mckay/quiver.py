@@ -45,12 +45,11 @@ def junior_chains(group: MatrixGroup) -> list[CyclicChain]:
     """One chain per maximal cyclic subgroup, powers ordered by the exponent
     of the distinguished eigenvalue of the generator."""
     _require_sl2(group)
-    lifted = group.lift_to_exponent_field()
     chains = []
-    for subgroup in lifted.maximal_cyclic_subgroups():
+    for subgroup in group.maximal_cyclic_subgroups():
         g = subgroup.generator
-        r = lifted.elements[g].order
-        expr = eigen_exponents(lifted, g)
+        r = group.elements[g].order
+        expr = eigen_exponents(group, g)
         a = expr.exponents[0] if expr.exponents[0] != 0 else expr.exponents[1]
         if gcd(a, r) != 1:
             raise InternalInvariantError(
@@ -58,7 +57,7 @@ def junior_chains(group: MatrixGroup) -> list[CyclicChain]:
             )
         a_inv = pow(a, -1, r)
         # the power sitting at interval position j has exponent j, i.e. g^(j/a)
-        nodes = [lifted.power(g, (j * a_inv) % r) for j in range(1, r)]
+        nodes = [group.power(g, (j * a_inv) % r) for j in range(1, r)]
         edges = list(zip(nodes, nodes[1:]))
         chains.append(CyclicChain(g, nodes, edges))
     return chains

@@ -174,18 +174,18 @@ class ConditionWitness:
     variant: str
 
 
-def condition_i(lattice: OverLattice, min_coefficient: int = 1) -> ConditionWitness:
+def condition_i(lattice: OverLattice) -> ConditionWitness:
     """Check that every nonzero box point is an integral combination of
-    junior points with coefficients >= min_coefficient.
+    junior points with coefficients >= 1.
 
     Coordinate sums add, so a point of age a needs exactly a junior summands;
-    the search runs over multisets of that size.  Note the two documented
-    variants (coefficients >= 1 on the used juniors, or >= 0 over all of
-    them) select the same multisets, since zero coefficients drop out; the
-    variant name is still carried through to reports.
+    the search runs over multisets of that size.  Allowing coefficients >= 0
+    over all juniors would select the same multisets, since zero
+    coefficients drop out; the variant name is still carried through to
+    reports.
     """
     _require_sl(lattice)
-    variant = f"coefficients >= {min_coefficient}"
+    variant = "coefficients >= 1"
     juniors = junior_points(lattice)
     junior_set = set(juniors)
     for bp in lattice.box_points:

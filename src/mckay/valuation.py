@@ -1,6 +1,7 @@
 """Monomial valuations and their stabilizer / ramification subgroups.
 
-An element g of order r, diagonalized exactly, yields the weighting
+An element g of order r, diagonalized exactly over Q(zeta_lcm(N, r)) with
+Q(zeta_N) the group's field, yields the weighting
 beta = (b_1,...,b_n) on its eigencoordinates and the monomial valuation
 x_i -> b_i.  A group element lies in the stabilizer iff it is block
 diagonal with respect to the equal-weight eigenspace decomposition, and in
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .age import FractionalExpression, eigen_exponents
+from .cyclo import cyclotomic_field
 from .errors import InternalInvariantError, RequirementError
 from .matgroup import MatrixGroup
 
@@ -24,7 +26,7 @@ from .matgroup import MatrixGroup
 class EigenDecomposition:
     element_index: int
     expression: FractionalExpression
-    basis: linalg.Matrix  # columns are eigenvectors, ordered by exponent
+    basis: linalg.Matrix  # eigenvector columns by exponent, over Q(zeta_lcm(N, r))
     basis_inverse: linalg.Matrix
     exponents: tuple[int, ...]  # aligned with the basis columns
     blocks: list[list[int]]  # column indices grouped by equal weight
@@ -40,12 +42,13 @@ class MonomialValuation:
 
 
 def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
-    """Exact eigendecomposition via kernels of (g - zeta_r^a * I); kernel
-    dimensions are cross-checked against the trace-formula multiplicities."""
+    """Exact eigendecomposition via kernels of (g - zeta_r^a * I), with g
+    embedded into Q(zeta_lcm(N, r)); kernel dimensions are cross-checked
+    against the trace-formula multiplicities."""
     expr = eigen_exponents(group, index)
-    element = group.elements[index]
-    field = group.field
-    r = element.order
+    r = group.elements[index].order
+    field = cyclotomic_field(lcm(group.field.order, r))
+    entries = linalg.mat_embed(group.elements[index].entries, field)
     step = field.order // r
     n = group.dimension
     columns = []
@@ -54,7 +57,7 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
         eigval = field.zeta(step * a)
         shifted = tuple(
             tuple(
-                element.entries[i][j] - (eigval if i == j else field.zero())
+                entries[i][j] - (eigval if i == j else field.zero())
                 for j in range(n)
             )
             for i in range(n)
@@ -74,7 +77,7 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
     # sanity: g * v = eigval * v for each column
     for j, a in enumerate(exps):
         eigval = field.zeta(step * a)
-        image = linalg.mat_vec(element.entries, tuple(col[j] for col in basis))
+        image = linalg.mat_vec(entries, tuple(col[j] for col in basis))
         for i in range(n):
             if image[i] != eigval * basis[i][j]:
                 raise InternalInvariantError("eigenvector verification failed")
@@ -128,9 +131,8 @@ def monomial_valuation_from_weights(
 
 def _in_eigenbasis(group: MatrixGroup, v: MonomialValuation, h: int) -> linalg.Matrix:
     d = v.decomposition
-    return linalg.mat_mul(
-        d.basis_inverse, linalg.mat_mul(group.elements[h].entries, d.basis)
-    )
+    entries = linalg.mat_embed(group.elements[h].entries, d.basis[0][0].field)
+    return linalg.mat_mul(d.basis_inverse, linalg.mat_mul(entries, d.basis))
 
 
 def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
@@ -170,7 +172,7 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
     eigenbasis; raises if the computed set fails to be cyclic."""
     weights = v.weights
     n = group.dimension
-    field = group.field
+    field = v.decomposition.basis[0][0].field
     one = field.one()
     members = []
     # Bezout combination picking out eps from the diagonal entries

@@ -17,7 +17,6 @@ CORPUS = [
 ]
 
 _closed = {}
-_lifted = {}
 _graded = {}
 
 
@@ -29,12 +28,6 @@ def closed_group(name):
     if name not in _closed:
         _closed[name] = parse_group_file(group_path(name)).close()
     return _closed[name]
-
-
-def lifted_group(name):
-    if name not in _lifted:
-        _lifted[name] = closed_group(name).lift_to_exponent_field()
-    return _lifted[name]
 
 
 def graded_table(name):
@@ -63,7 +56,6 @@ def corpus():
         names = CORPUS
         path = staticmethod(group_path)
         closed = staticmethod(closed_group)
-        lifted = staticmethod(lifted_group)
         graded = staticmethod(graded_table)
 
     return Corpus

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import conftest
-from conftest import CORPUS, closed_group, graded_table, lifted_group, group_path
+from conftest import CORPUS, closed_group, graded_table, group_path
 
 from mckay.age import (
     FractionalExpression,
@@ -113,13 +113,13 @@ def _degrees(graph):
 def test_criterion_4_cyclic_7_ages_and_inversion():
     with criterion(4, "(1/7)(1,2,4): ages split {1,2,4} / {3,5,6} and swap "
                       "under generator inversion"):
-        group = lifted_group("cyclic_7_124")
+        group = closed_group("cyclic_7_124")
         g = group.generator_indices[0]
         for k in (1, 2, 4):
             assert eigen_exponents(group, group.power(g, k)).age == 1
         for k in (3, 5, 6):
             assert eigen_exponents(group, group.power(g, k)).age == 2
-        inverted = close_group(group.inverted_generators()).lift_to_exponent_field()
+        inverted = close_group(group.inverted_generators())
         gi = inverted.generator_indices[0]
         for k in (1, 2, 4):
             assert eigen_exponents(inverted, inverted.power(gi, k)).age == 2
@@ -182,7 +182,7 @@ def test_criterion_8_ramification_suite():
     with criterion(8, "junior valuations: Ram = <g>, crepant downstairs, "
                       "Ram <= Stab"):
         for name in CORPUS:
-            group = lifted_group(name)
+            group = closed_group(name)
             if not group.in_sl:
                 continue
             for cls in group.classes:
@@ -205,7 +205,7 @@ def test_criterion_9_property_invariants():
     with criterion(9, "corpus-wide invariants: exact multiplicities, "
                       "age-constant classes, junior structure, bijection"):
         for name in CORPUS:
-            group = lifted_group(name)
+            group = closed_group(name)
             n = group.dimension
             for i in range(len(group)):
                 # eigen_exponents raises unless every multiplicity is a

@@ -16,7 +16,7 @@ from mckay.errors import RequirementError
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 
-from conftest import CORPUS, closed_group, graded_table, lifted_group
+from conftest import CORPUS, closed_group, graded_table
 
 
 def _diag_group(n, generators):
@@ -25,7 +25,7 @@ def _diag_group(n, generators):
 
 
 def test_cyclic_7_exponents():
-    group = _diag_group(3, [(7, (1, 2, 4))]).lift_to_exponent_field()
+    group = _diag_group(3, [(7, (1, 2, 4))])
     g = group.generator_indices[0]
     ages = {}
     for k in range(1, 7):
@@ -39,7 +39,7 @@ def test_cyclic_7_exponents():
 def test_eigen_exponents_match_diagonal_readoff():
     # independent oracle: the exponents of a diagonal element can be read
     # straight off its entries
-    group = _diag_group(3, [(7, (1, 2, 4))]).lift_to_exponent_field()
+    group = _diag_group(3, [(7, (1, 2, 4))])
     field = group.field
     for i in range(len(group)):
         element = group.elements[i]
@@ -57,7 +57,7 @@ def test_eigen_exponents_match_kernel_ranks():
     # independent oracle: multiplicity of zeta_r^a equals the kernel
     # dimension of g - zeta_r^a * I
     for name in ("bd8", "trihedral27"):
-        group = lifted_group(name)
+        group = closed_group(name)
         field = group.field
         n = group.dimension
         for cls in group.classes:
@@ -158,7 +158,7 @@ def test_inverse_bijection_cyclic7():
 def test_inverse_duality_of_expressions():
     # for fix_dim 0 elements in SL(n), age(g) + age(g^-1) = n
     for name in ("trihedral27", "cyclic_7_124", "icosahedral60"):
-        group = lifted_group(name)
+        group = closed_group(name)
         n = group.dimension
         for cls in group.classes:
             i = cls.representative

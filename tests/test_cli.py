@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -188,3 +191,26 @@ def test_output_is_sorted_and_stable(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == out1
+
+
+def test_corpus_stdout_matches_recorded_digests(capsys, monkeypatch):
+    # The benchmark's corpus workload (every command on every groups/ file)
+    # must reproduce the exit codes and stdout digests it recorded.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclasses
+    spec.loader.exec_module(workloads)
+    recorded = json.loads((root / "perfbench" / "expected.json").read_text())
+    expected = recorded["workloads"]["corpus"]
+    jobs = workloads.corpus(workloads.DEFAULT_SEED, None).jobs
+    assert {job.id for job in jobs} == set(expected)
+    monkeypatch.chdir(root)  # job argv name groups/<file>.grp
+    mismatched = {}
+    for job in jobs:
+        code, out, _ = run(capsys, *job.argv)
+        got = {"rc": code, "sha256": workloads.digest(out)}
+        if got != expected[job.id]:
+            mismatched[job.id] = got
+    assert mismatched == {}

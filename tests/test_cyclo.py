@@ -112,6 +112,27 @@ def test_as_rational():
     assert s.as_rational() == -1
 
 
+def test_hash_agrees_with_equality_for_rationals():
+    f5 = cyclotomic_field(5)
+    assert f5.one() == 1
+    assert 1 in {f5.one()}
+    half = f5.from_rational(Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))
+    assert {half: "x"}[Fraction(1, 2)] == "x"
+    s = f5.zeta(1) + f5.zeta(2) + f5.zeta(3) + f5.zeta(4)  # sums to -1
+    assert hash(s) == hash(-1)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x + "x", lambda x: "x" + x, lambda x: x - "x",
+    lambda x: "x" - x, lambda x: x * "x", lambda x: "x" * x,
+    lambda x: x / "x",
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv"])
+def test_unsupported_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(cyclotomic_field(5).one())
+
+
 def test_zeta_has_exact_order():
     for r in range(1, 25):
         field = cyclotomic_field(r)

@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from mckay import linalg
+from mckay.age import eigen_exponents, grade
 from mckay.cyclo import cyclotomic_field
 from mckay.errors import ClosureCapError, RequirementError
+from mckay.groupfile import parse_group_file
 from mckay.matgroup import close_group
+from mckay.quiver import fold
+from mckay.valuation import monomial_valuation, ram_group, stab_group
 
-from conftest import closed_group, lifted_group
+from conftest import closed_group, group_path
 
 EXPECTED_ORDERS = {
     "bd8": (8, 5),
@@ -109,19 +115,28 @@ def test_element_names():
     assert group.element_name(group.mul(a, b)) == "A*B"
 
 
-def test_lift_preserves_structure():
-    group = closed_group("icosahedral60")
-    lifted = lifted_group("icosahedral60")
-    assert lifted.field.order % group.field.order == 0
-    assert lifted.field.order % group.exponent == 0
-    assert len(lifted) == len(group)
-    assert [e.order for e in lifted.elements] == [e.order for e in group.elements]
-    assert lifted.classes is group.classes
-    # entries agree after embedding: compare rational traces where defined
-    for i in (0, group.generator_indices[0]):
-        t0 = group.elements[i].trace().embed(lifted.field)
-        assert t0 == lifted.elements[i].trace()
-
+@pytest.mark.parametrize("name", ["bd12", "bt48", "icosahedral60"])
+def test_scalar_lift_matches_group_closed_in_exponent_field(name):
+    # These fields lack an eigenvalue of some element (field order N does
+    # not divide the exponent).  Grading and valuations embed scalars into
+    # Q(zeta_lcm(N, r)) on demand; the same generators closed directly in
+    # Q(zeta_lcm(N, exp G)) need no embedding and must give the same data.
+    group = closed_group(name)
+    assert group.field.order % group.exponent != 0
+    field = cyclotomic_field(lcm(group.field.order, group.exponent))
+    gens = parse_group_file(group_path(name)).matrices()
+    big = close_group([linalg.mat_embed(g, field) for g in gens])
+    assert [e.word for e in big.elements] == [e.word for e in group.elements]
+    for i in range(len(group)):
+        assert eigen_exponents(big, i) == eigen_exponents(group, i)
+    assert grade(big).buckets == grade(group).buckets
+    if group.dimension == 2:
+        assert fold(big).edges == fold(group).edges
+    rep = group.classes[1].representative
+    assert big.classes[1].representative == rep
+    v, v_big = monomial_valuation(group, rep), monomial_valuation(big, rep)
+    assert stab_group(big, v_big) == stab_group(group, v)
+    assert ram_group(big, v_big).members == ram_group(group, v).members
 
 def test_closure_cap():
     f1 = cyclotomic_field(1)

@@ -17,16 +17,16 @@ from mckay.valuation import (
     valuation_fingerprint,
 )
 
-from conftest import lifted_group
+from conftest import closed_group
 
 
 def _diag_group(n, generators):
     spec = DiagonalGroupSpec(n, tuple(generators))
-    return close_group(spec.matrices()).lift_to_exponent_field()
+    return close_group(spec.matrices())
 
 
 def test_eigen_decompose_bd8_b():
-    group = lifted_group("bd8")
+    group = closed_group("bd8")
     b = group.generator_indices[1]
     dec = eigen_decompose(group, b)
     assert dec.exponents == (1, 3)
@@ -37,7 +37,7 @@ def test_eigen_decompose_bd8_b():
 
 
 def test_eigen_decompose_permutation():
-    group = lifted_group("trihedral27")
+    group = closed_group("trihedral27")
     t = group.generator_indices[1]
     assert group.elements[t].order == 3
     dec = eigen_decompose(group, t)
@@ -55,7 +55,7 @@ def test_monomial_valuation_primitivizes():
 
 
 def test_monomial_valuation_rejects_identity():
-    group = lifted_group("bd8")
+    group = closed_group("bd8")
     with pytest.raises(RequirementError):
         monomial_valuation(group, 0)
 
@@ -63,7 +63,7 @@ def test_monomial_valuation_rejects_identity():
 def test_stab_and_ram_for_scalar_junior():
     # g = (1/3)(1,1,1) inside the trihedral group: all weights equal, so
     # Stab is the whole group and Ram is the scalar subgroup <g>
-    group = lifted_group("trihedral27")
+    group = closed_group("trihedral27")
     g = next(
         i for i in range(1, len(group))
         if all(
@@ -94,7 +94,7 @@ def test_stab_and_ram_for_unequal_weights():
 
 def test_ram_is_subgroup_of_stab():
     for name in ("bd8", "bd12", "trihedral27", "cyclic_7_124"):
-        group = lifted_group(name)
+        group = closed_group(name)
         for cls in group.classes:
             rep = cls.representative
             if rep == 0:
@@ -113,7 +113,7 @@ def test_ram_is_subgroup_of_stab():
 
 
 def test_valuation_from_weights():
-    group = lifted_group("bd8")
+    group = closed_group("bd8")
     v = monomial_valuation_from_weights(group, (1, 1))
     assert v.weights == (1, 1)
     assert len(stab_group(group, v)) == 8
@@ -137,7 +137,7 @@ def test_quotient_discrepancy():
 
 def test_junior_valuation_is_crepant():
     # a_F = sum(a_i) - 1 = r - 1 for a junior g, so a_E = 0 downstairs
-    group = lifted_group("trihedral27")
+    group = closed_group("trihedral27")
     from mckay.age import eigen_exponents
 
     for cls in group.classes:
@@ -158,7 +158,7 @@ def test_diagonal_exponents():
     g = group.generator_indices[0]
     step = group.field.order // 7
     assert diagonal_exponents(group, g) == (step, 2 * step, 4 * step)
-    nondiag = lifted_group("bd8")
+    nondiag = closed_group("bd8")
     with pytest.raises(RequirementError):
         diagonal_exponents(nondiag, nondiag.generator_indices[1])
 
