@@ -210,7 +210,11 @@ class CycNum:
             other = self.field.from_rational(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        if self.field is other.field:
+            return self.coeffs == other.coeffs
+        # across fields only rational values compare equal, as they hash
+        value = self.as_rational()
+        return value is not None and value == other.as_rational()
 
     def __hash__(self):
         # a rational value equals its int/Fraction, so it hashes like one
@@ -340,9 +344,10 @@ def multiplicative_order(x: CycNum, bound: int | None = None) -> int:
 
 
 class LiteralSyntaxError(RequirementError):
-    """Bad cyclotomic literal; carries the 0-based offset of the error."""
+    """Bad cyclotomic literal; carries the bare reason and its 0-based offset."""
 
     def __init__(self, message, position):
+        self.reason = message
         self.position = position
         super().__init__(f"col {position + 1}: {message}")
 

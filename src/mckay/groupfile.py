@@ -158,7 +158,7 @@ def parse_group_text(text: str) -> GroupFile:
                         row.append(parse_literal(cell, field))
                     except LiteralSyntaxError as err:
                         raise GroupFileError(
-                            str(err), row_lineno, offset + err.position + 1
+                            err.reason, row_lineno, offset + err.position + 1
                         ) from None
                     offset += len(cell) + 1
                 rows.append(tuple(row))

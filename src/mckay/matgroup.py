@@ -1,8 +1,10 @@
 """Finite matrix groups over a cyclotomic field.
 
 Closure from generators by breadth-first search, element orders, conjugacy
-classes by brute-force orbit expansion, and maximal cyclic subgroups.
-Elements are deduplicated through the unique normal form of their entries.
+classes as orbits under conjugation by the generators, and maximal cyclic
+subgroups.  Elements are deduplicated through the unique normal form of
+their entries during closure; after it, every group operation works on
+element indices through the closure's right-multiplication table.
 """
 
 from __future__ import annotations
@@ -78,17 +80,20 @@ class CyclicSubgroup:
 
 
 class MatrixGroup:
-    """A closed finite matrix group; immutable once constructed."""
+    """A closed finite matrix group; immutable once constructed.
+
+    `right[k][i]` is the index of elements[i] * generator k, as recorded by
+    the closure; products, inverses, orders and classes are read from it.
+    """
 
     def __init__(self, dimension, field, elements, generator_indices,
-                 generator_names, index_map):
+                 generator_names, right):
         self.dimension = dimension
         self.field = field
         self.elements = elements
         self.generator_indices = generator_indices
         self.generator_names = generator_names
-        self._index = index_map
-        self._products: dict[tuple[int, int], int] = {}
+        self._right = right
         self._fill_orders()
         self.exponent = lcm(*(e.order for e in self.elements))
         self.in_sl = all(
@@ -96,11 +101,8 @@ class MatrixGroup:
         )
         self._inverses = [self.power(i, self.elements[i].order - 1)
                           for i in range(len(self.elements))]
-        self.classes = self._conjugacy_classes()
         self.class_of = {}
-        for k, cls in enumerate(self.classes):
-            for m in cls.members:
-                self.class_of[m] = k
+        self.classes = self._conjugacy_classes()
 
     # -- basic structure ---------------------------------------------------
 
@@ -112,14 +114,10 @@ class MatrixGroup:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        cached = self._products.get(key)
-        if cached is not None:
-            return cached
-        product = linalg.mat_mul(self.elements[i].entries, self.elements[j].entries)
-        result = self._index[_key(product)]
-        self._products[key] = result
-        return result
+        # elements[j] is the product of the generators in its word
+        for k in self.elements[j].word:
+            i = self._right[k][i]
+        return i
 
     def inv(self, i: int) -> int:
         return self._inverses[i]
@@ -145,18 +143,23 @@ class MatrixGroup:
             element.order = k
 
     def _conjugacy_classes(self):
-        n = len(self.elements)
-        assigned = [False] * n
+        """Orbits of x -> g^-1 x g over the generators g, found in index
+        order; fills `class_of`."""
         classes = []
-        for i in range(n):
-            if assigned[i]:
+        for i in range(len(self.elements)):
+            if i in self.class_of:
                 continue
-            orbit = set()
-            for h in range(n):
-                orbit.add(self.mul(self.mul(h, i), self._inverses[h]))
+            orbit, todo = {i}, [i]
+            while todo:
+                x = todo.pop()
+                for g in self.generator_indices:
+                    y = self.mul(self.mul(self._inverses[g], x), g)
+                    if y not in orbit:
+                        orbit.add(y)
+                        todo.append(y)
             members = tuple(sorted(orbit))
             for m in members:
-                assigned[m] = True
+                self.class_of[m] = len(classes)
             classes.append(ConjugacyClass(members[0], members))
         return classes
 
@@ -214,43 +217,32 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
 
-    identity = linalg.identity(field, n)
     elements = []
-    index_map = {}
+    index_of = {}
 
     def add(entries, word):
         key = _key(entries)
-        existing = index_map.get(key)
-        if existing is not None:
-            return None
-        element = GroupElement(entries, len(elements), word)
-        elements.append(element)
-        index_map[key] = element.index
-        return element
+        index = index_of.get(key)
+        if index is None:
+            if len(elements) >= cap:
+                raise ClosureCapError(
+                    f"closure exceeded cap of {cap} elements; "
+                    "group too large or infinite"
+                )
+            index = len(elements)
+            elements.append(GroupElement(entries, index, word))
+            index_of[key] = index
+        return index
 
-    add(identity, ())
-    gen_elements = []
-    for k, g in enumerate(generators):
-        element = add(tuple(tuple(row) for row in g), (k,))
-        if element is None:  # duplicate generator or identity
-            element = elements[index_map[_key(g)]]
-        gen_elements.append(element)
+    add(linalg.identity(field, n), ())
+    generator_indices = tuple(add(tuple(tuple(row) for row in g), (k,))
+                              for k, g in enumerate(generators))
+    right = [[] for _ in generators]
+    # `elements` grows during the scan, so this visits elements in
+    # breadth-first order and right[k][i] is filled for every i.
+    for element in elements:
+        for k, g in enumerate(generators):
+            product = linalg.mat_mul(element.entries, g)
+            right[k].append(add(product, element.word + (k,)))
 
-    frontier = list(elements)
-    while frontier:
-        new_frontier = []
-        for element in frontier:
-            for k, g in enumerate(gen_elements):
-                product = linalg.mat_mul(element.entries, g.entries)
-                added = add(product, element.word + (k,))
-                if added is not None:
-                    new_frontier.append(added)
-                    if len(elements) > cap:
-                        raise ClosureCapError(
-                            f"closure exceeded cap of {cap} elements; "
-                            "group too large or infinite"
-                        )
-        frontier = new_frontier
-
-    generator_indices = tuple(e.index for e in gen_elements)
-    return MatrixGroup(n, field, elements, generator_indices, list(names), index_map)
+    return MatrixGroup(n, field, elements, generator_indices, list(names), right)

@@ -1,7 +1,5 @@
 import pathlib
 
-import pytest
-
 from mckay.groupfile import parse_group_file
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parents[1] / "groups"
@@ -46,16 +44,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("")
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    """Loader callables shared by the whole suite (groups are cached)."""
-
-    class Corpus:
-        names = CORPUS
-        path = staticmethod(group_path)
-        closed = staticmethod(closed_group)
-        graded = staticmethod(graded_table)
-
-    return Corpus

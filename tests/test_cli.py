@@ -174,7 +174,14 @@ def test_parse_error_reports_position(capsys, tmp_path):
     )
     code, out, err = run(capsys, "info", str(bad))
     assert code == 2
-    assert "line 5" in err
+    assert err == "error: line 5, col 4: expected a term\n"
+    bad.write_text(
+        "format matrix\ndimension 2\ncyclotomic_order 4\n"
+        "generator A\nz, 0\n0, 1/0\n"
+    )
+    code, out, err = run(capsys, "info", str(bad))
+    assert code == 2
+    assert err == "error: line 6, col 6: zero denominator\n"
 
 
 def test_max_order_cap(capsys):
@@ -182,6 +189,17 @@ def test_max_order_cap(capsys):
                          "--max-order", "4")
     assert code == 4
     assert "cap" in err
+
+
+def test_max_order_cap_counts_identity_and_generators(capsys, tmp_path):
+    # the closure of -I is {I, -I}: already two elements before any product
+    path = tmp_path / "minus_one.grp"
+    path.write_text("format diagonal\ndimension 2\ngenerator 2 : 1 1\n")
+    code, out, err = run(capsys, "info", str(path), "--max-order", "1")
+    assert code == 4
+    assert out == ""
+    assert "cap of 1" in err
+    assert run_json(capsys, "info", str(path), "--max-order", "2")["group"]["order"] == 2
 
 
 def test_output_is_sorted_and_stable(capsys):

@@ -123,6 +123,18 @@ def test_hash_agrees_with_equality_for_rationals():
     assert hash(s) == hash(-1)
 
 
+def test_rationals_compare_equal_across_fields():
+    f5, f10 = cyclotomic_field(5), cyclotomic_field(10)
+    assert f5.one() == f10.one()
+    assert len({f5.one(), f10.one(), 1}) == 1
+    assert f5.from_rational(Fraction(-2, 3)) == f10.from_rational(Fraction(-2, 3))
+    s = f5.zeta(1) + f5.zeta(2) + f5.zeta(3) + f5.zeta(4)  # sums to -1
+    assert s == -f10.one()
+    assert f5.one() != f10.from_rational(2)
+    assert f5.one() != f10.zeta()
+    assert f5.zeta() != f10.zeta()
+
+
 @pytest.mark.parametrize("op", [
     lambda x: x + "x", lambda x: "x" + x, lambda x: x - "x",
     lambda x: "x" - x, lambda x: x * "x", lambda x: "x" * x,

@@ -3,17 +3,20 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mckay import linalg
+from mckay import cyclo, linalg
 from mckay.age import eigen_exponents, grade
 from mckay.cyclo import cyclotomic_field
 from mckay.errors import ClosureCapError, RequirementError
 from mckay.groupfile import parse_group_file
-from mckay.matgroup import close_group
+from mckay.matgroup import _key, close_group
 from mckay.quiver import fold
+from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import monomial_valuation, ram_group, stab_group
 
-from conftest import closed_group, group_path
+from conftest import CORPUS, closed_group, group_path
 
 EXPECTED_ORDERS = {
     "bd8": (8, 5),
@@ -113,6 +116,88 @@ def test_element_names():
     assert group.element_name(a) == "A"
     assert group.element_name(group.power(a, 2)) == "A^2"
     assert group.element_name(group.mul(a, b)) == "A*B"
+
+
+def reference_structure(group):
+    """Products, inverses, orders and conjugacy classes of a closed group,
+    found by brute force from matrix products and the dedup key alone."""
+    elements = group.elements
+    index = {_key(e.entries): e.index for e in elements}
+    identity = index[_key(linalg.identity(group.field, group.dimension))]
+    table = [[index[_key(linalg.mat_mul(a.entries, b.entries))] for b in elements]
+             for a in elements]
+    inverses = [row.index(identity) for row in table]
+    orders = []
+    for i in range(len(elements)):
+        k, acc = 1, i
+        while acc != identity:
+            acc = table[acc][i]
+            k += 1
+        orders.append(k)
+    # every element conjugated by every element, in index order
+    classes, assigned = [], set()
+    for i in range(len(elements)):
+        if i in assigned:
+            continue
+        members = tuple(sorted({table[table[h][i]][inverses[h]]
+                                for h in range(len(elements))}))
+        assigned.update(members)
+        classes.append(members)
+    return identity, table, inverses, orders, classes
+
+
+def assert_matches_reference(group):
+    identity, table, inverses, orders, classes = reference_structure(group)
+    n = len(group)
+    assert identity == 0
+    assert [[group.mul(i, j) for j in range(n)] for i in range(n)] == table
+    assert [group.inv(i) for i in range(n)] == inverses
+    assert [e.order for e in group.elements] == orders
+    assert [c.members for c in group.classes] == classes
+    assert [c.representative for c in group.classes] == [m[0] for m in classes]
+    assert all(group.class_of[m] == k
+               for k, members in enumerate(classes) for m in members)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_multiplication_table_matches_matrix_products(name):
+    assert_matches_reference(closed_group(name))
+
+
+@st.composite
+def diagonal_sl_specs(draw):
+    n = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.integers(2, 5))
+        exps = draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
+        gens.append((r, (*exps, -sum(exps) % r)))
+    return DiagonalGroupSpec(n, tuple(gens))
+
+
+@settings(max_examples=15, deadline=None)
+@given(diagonal_sl_specs())
+def test_multiplication_table_matches_matrix_products_diagonal(spec):
+    group = close_group(spec.matrices())
+    assert group.in_sl
+    assert_matches_reference(group)
+
+
+def test_group_operations_need_no_field_arithmetic(monkeypatch):
+    group = parse_group_file(group_path("bd12")).close()
+
+    def forbidden(*args):
+        raise AssertionError("field arithmetic after closure")
+
+    monkeypatch.setattr(linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(cyclo.CycNum, "__mul__", forbidden)
+    n = len(group)
+    for i in range(n):
+        for j in range(n):
+            group.mul(i, j)
+        group.power(group.inv(i), 5)
+        group.cyclic_subgroup(i)
+    assert len(group.maximal_cyclic_subgroups()) == 4
 
 
 @pytest.mark.parametrize("name", ["bd12", "bt48", "icosahedral60"])
