@@ -130,19 +130,27 @@ class GradedClassTable:
 
 def grade(group: MatrixGroup) -> GradedClassTable:
     """Grade every conjugacy class by the age of its representative,
-    asserting that all members of a class share the fractional expression."""
+    asserting that all members share its fractional expression.  That is a
+    function of the order r and the traces Tr(g^k), k < r, so members are
+    compared on those (in the group's field) without the trace formula."""
     if not group.in_sl:
         raise RequirementError("grading requires a subgroup of SL(n, C)")
+    traces = [element.trace() for element in group.elements]
+
+    def power_traces(x):  # its length is the order of x
+        return [traces[group.power(x, k)] for k in range(group.elements[x].order)]
+
     gradings = []
     buckets: dict[int, list[int]] = {}
     gamma1_zero = []
     for k, cls in enumerate(group.classes):
         expr = eigen_exponents(group, cls.representative)
-        for member in cls.members:
-            if eigen_exponents(group, member) != expr:
-                raise InternalInvariantError(
-                    f"conjugacy class {k} is not age-constant"
-                )
+        expected = power_traces(cls.representative)
+        if any(power_traces(member) != expected
+               for member in cls.members if member != cls.representative):
+            raise InternalInvariantError(
+                f"conjugacy class {k} is not age-constant"
+            )
         grading = ClassGrading(k, cls.representative, len(cls.members), expr, expr.age)
         gradings.append(grading)
         buckets.setdefault(expr.age, []).append(k)

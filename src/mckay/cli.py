@@ -43,25 +43,24 @@ def _group_block(group: MatrixGroup) -> dict:
     }
 
 
-def _report(group: MatrixGroup, body: dict) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "group": _group_block(group)}
-    out.update(body)
-    return out
+def _report(block: dict, body: dict) -> str:
+    report = {"schema_version": SCHEMA_VERSION, "group": block, **body}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _group_file(args) -> GroupFile:
+    gf = parse_group_file(args.file)
+    return gf.inverted() if args.choice == "inverse" else gf
 
 
 def _load(args) -> tuple[GroupFile, MatrixGroup]:
-    gf = parse_group_file(args.file)
-    group = gf.close(cap=args.max_order, invert=args.choice == "inverse")
-    return gf, group
+    gf = _group_file(args)
+    return gf, gf.close(cap=args.max_order)
 
 
 def cmd_info(args) -> str:
     _, group = _load(args)
-    return _emit(_report(group, {}))
+    return _report(_group_block(group), {})
 
 
 def _class_entries(group: MatrixGroup, table) -> list[dict]:
@@ -88,7 +87,8 @@ def _class_entries(group: MatrixGroup, table) -> list[dict]:
 def cmd_classes(args) -> str:
     _, group = _load(args)
     table = age_mod.grade(group)
-    return _emit(_report(group, {"classes": _class_entries(group, table)}))
+    return _report(_group_block(group),
+                   {"classes": _class_entries(group, table)})
 
 
 def cmd_betti(args) -> str:
@@ -101,7 +101,7 @@ def cmd_betti(args) -> str:
     prediction = age_mod.betti_prediction(group, table)
     pairing = age_mod.inverse_bijection(group, table)
     label = lambda k: group.element_name(group.classes[k].representative)
-    return _emit(_report(group, {
+    return _report(_group_block(group), {
         "h0": prediction.h0,
         "h2": prediction.h2,
         "h4": prediction.h4,
@@ -112,17 +112,7 @@ def cmd_betti(args) -> str:
             label(k): label(v) for k, v in sorted(pairing.items())
         },
         "fix_junior_check": age_mod.fix_junior_check(group, table),
-    }))
-
-
-def _toric_lattice(args) -> tuple[toric.OverLattice, GroupFile]:
-    gf = parse_group_file(args.file)
-    spec = gf.to_spec()
-    if args.choice == "inverse":
-        spec = toric.DiagonalGroupSpec(spec.n, tuple(
-            (r, tuple((r - a) % r for a in exps)) for r, exps in spec.generators
-        ))
-    return toric.build_lattice(spec), gf
+    })
 
 
 def _point(p) -> str:
@@ -130,8 +120,8 @@ def _point(p) -> str:
 
 
 def cmd_toric(args) -> str:
-    lattice, gf = _toric_lattice(args)
-    group = gf.close(cap=args.max_order, invert=args.choice == "inverse")
+    gf = _group_file(args)
+    lattice = toric.build_lattice(gf.to_spec(), cap=args.max_order)
     if args.action == "juniors":
         body = {"junior_points": [_point(p) for p in toric.junior_points(lattice)],
                 "crepant_divisor_count": toric.crepant_divisor_count(lattice)}
@@ -153,7 +143,7 @@ def cmd_toric(args) -> str:
         witness = toric.condition_i(lattice)
         body = {
             "condition_i": witness.holds,
-            "condition_i_variant": witness.variant,
+            "condition_i_variant": "coefficients >= 1",
             "condition_i_witness": _point(witness.witness) if witness.witness else None,
             "junior_count": toric.crepant_divisor_count(lattice),
         }
@@ -167,7 +157,15 @@ def cmd_toric(args) -> str:
                 raise InternalInvariantError(
                     "resolution exists but condition (i) failed"
                 )
-    return _emit(_report(group, body))
+    # the box points are the elements of the (abelian) diagonal group
+    return _report({
+        "dimension": lattice.n,
+        "order": lattice.index,
+        "exponent": lattice.denominator,
+        "in_sl": lattice.is_sl,
+        "class_count": lattice.index,
+        "field_order": gf.cyclotomic_order,
+    }, body)
 
 
 def cmd_diagram(args) -> str:
@@ -175,7 +173,7 @@ def cmd_diagram(args) -> str:
     graph = quiver.fold(group)
     if args.format == "dot":
         return quiver.to_dot(graph) + "\n"
-    return _emit(_report(group, quiver.to_json_dict(graph)))
+    return _report(_group_block(group), quiver.to_json_dict(graph))
 
 
 def cmd_ram(args) -> str:
@@ -216,7 +214,7 @@ def cmd_ram(args) -> str:
             ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))
             for m, v in sorted(fingerprint.items())
         }
-    return _emit(_report(group, body))
+    return _report(_group_block(group), body)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="group description file")
         p.add_argument("--max-order", type=int, default=DEFAULT_CAP,
-                       help="closure cap on the number of elements")
+                       help="closure cap on the number of elements (for "
+                       "toric commands, on the overlattice's box points)")
         p.add_argument("--choice", choices=("standard", "inverse"),
                        default="standard",
                        help="'inverse' inverts every generator, realizing the "

@@ -24,6 +24,10 @@ class RequirementError(McKayError):
 class ClosureCapError(McKayError):
     """Group closure exceeded the element cap (group too large or infinite)."""
 
+    def __init__(self, cap):
+        super().__init__(f"closure exceeded cap of {cap} elements; "
+                         "group too large or infinite")
+
 
 class InternalInvariantError(McKayError):
     """A theory-guaranteed property failed to hold; always an implementation bug."""

@@ -29,11 +29,12 @@ Each generator line is ``generator r : a_1 ... a_n`` for (1/r)(a_1,...,a_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 
+from . import linalg
 from .cyclo import LiteralSyntaxError, cyclotomic_field, parse_literal
-from .errors import GroupFileError
+from .errors import GroupFileError, RequirementError
 from .matgroup import DEFAULT_CAP, MatrixGroup, close_group
 from .toric import DiagonalGroupSpec
 
@@ -57,13 +58,20 @@ class GroupFile:
             return self.matrix_generators
         return self.to_spec().matrices()
 
-    def close(self, cap: int = DEFAULT_CAP, invert: bool = False) -> MatrixGroup:
-        from . import linalg
+    def inverted(self) -> GroupFile:
+        """The same file with every generator replaced by its inverse: the
+        opposite identification of roots of unity (`--choice inverse`)."""
+        try:
+            mats = [linalg.mat_inv(m) for m in self.matrix_generators]
+        except ZeroDivisionError:
+            raise RequirementError("non-invertible generator") from None
+        return replace(self, matrix_generators=mats, diagonal_generators=[
+            (r, tuple((r - a) % r for a in exps))
+            for r, exps in self.diagonal_generators
+        ])
 
-        mats = self.matrices()
-        if invert:
-            mats = [linalg.mat_inv(m) for m in mats]
-        return close_group(mats, cap=cap, names=self.generator_names)
+    def close(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
+        return close_group(self.matrices(), cap=cap, names=self.generator_names)
 
 
 def _tokens(text: str):

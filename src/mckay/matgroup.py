@@ -191,11 +191,6 @@ class MatrixGroup:
         subgroups.sort(key=lambda sg: (len(sg.members), sg.members))
         return subgroups
 
-    def inverted_generators(self):
-        """Generator matrices replaced by their inverses (the opposite
-        choice of roots of unity; see the grading convention note)."""
-        return [self.elements[self.inv(i)].entries for i in self.generator_indices]
-
 
 def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     """Breadth-first closure of a generator list under multiplication.
@@ -225,10 +220,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
         index = index_of.get(key)
         if index is None:
             if len(elements) >= cap:
-                raise ClosureCapError(
-                    f"closure exceeded cap of {cap} elements; "
-                    "group too large or infinite"
-                )
+                raise ClosureCapError(cap)
             index = len(elements)
             elements.append(GroupElement(entries, index, word))
             index_of[key] = index

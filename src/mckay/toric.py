@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from .cyclo import cyclotomic_field
-from .errors import InternalInvariantError, RequirementError
+from .errors import ClosureCapError, InternalInvariantError, RequirementError
+from .matgroup import DEFAULT_CAP
 
 Point = tuple[Fraction, ...]
 
@@ -69,31 +69,30 @@ class BoxPoint:
     age: Fraction
     primitive: bool
 
-    def __str__(self):
-        return ",".join(str(c) for c in self.coords)
-
 
 class OverLattice:
-    """L = Z^n + sum Z*g_i with the box points L intersected with [0,1)^n."""
+    """L = Z^n + sum Z*g_i with the box points L intersected with [0,1)^n,
+    the elements of the diagonal group: like close_group, the scan raises
+    ClosureCapError past `cap` of them."""
 
-    def __init__(self, spec: DiagonalGroupSpec):
+    def __init__(self, spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP):
         self.spec = spec
         self.n = spec.n
         self.is_sl = spec.is_sl
         residues = [
             tuple(Fraction(a, r) for a in exps) for r, exps in spec.generators
         ]
-        points = {tuple(Fraction(0) for _ in range(self.n))}
-        frontier = list(points)
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in residues:
-                    q = tuple((a + b) % 1 for a, b in zip(p, g))
-                    if q not in points:
-                        points.add(q)
-                        new.append(q)
-            frontier = new
+        found = [(Fraction(0),) * self.n]
+        points = set(found)
+        # `found` grows during the scan, so this is a breadth-first search
+        for p in found:
+            if len(found) > cap:
+                raise ClosureCapError(cap)
+            for g in residues:
+                q = tuple((a + b) % 1 for a, b in zip(p, g))
+                if q not in points:
+                    points.add(q)
+                    found.append(q)
         self.denominator = lcm(1, *(c.denominator for p in points for c in p))
         self._point_set = points
         self.box_points = [
@@ -117,8 +116,8 @@ class OverLattice:
         return f"OverLattice(n={self.n}, index={self.index})"
 
 
-def build_lattice(spec: DiagonalGroupSpec) -> OverLattice:
-    return OverLattice(spec)
+def build_lattice(spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP) -> OverLattice:
+    return OverLattice(spec, cap)
 
 
 def _require_sl(lattice: OverLattice):
@@ -170,43 +169,31 @@ def discrepancy(weights, order: int = 1) -> Fraction:
 @dataclass
 class ConditionWitness:
     holds: bool
-    witness: Point | None
-    variant: str
+    witness: Point | None  # the lexicographically first box point not reached
 
 
 def condition_i(lattice: OverLattice) -> ConditionWitness:
-    """Check that every nonzero box point is an integral combination of
-    junior points with coefficients >= 1.
+    """Check that every nonzero box point is a sum of junior points (an
+    integral combination with coefficients >= 1), by reachability from 0.
 
-    Coordinate sums add, so a point of age a needs exactly a junior summands;
-    the search runs over multisets of that size.  Allowing coefficients >= 0
-    over all juniors would select the same multisets, since zero
-    coefficients drop out; the variant name is still carried through to
-    reports.
+    Juniors are nonnegative, so the partial sums of p = j_1 + ... + j_a lie
+    in [0, p] and are box points: p is reachable iff p - j is, for a junior
+    j <= p.  That p - j is a box point preceding p lexicographically, so one
+    lexicographic pass reaches every earlier point before p, and p is
+    reachable iff it dominates a junior; the witness is the first that
+    does not.
     """
     _require_sl(lattice)
-    variant = "coefficients >= 1"
     juniors = junior_points(lattice)
-    junior_set = set(juniors)
     for bp in lattice.box_points:
-        if not any(bp.coords):
-            continue
-        a = bp.age
-        if a.denominator != 1:
+        if bp.age.denominator != 1:
             raise InternalInvariantError("SL box point with non-integer age")
-        a = a.numerator
-        if a == 1:
-            continue  # a junior point represents itself
-        found = False
-        for combo in combinations_with_replacement(juniors, a):
-            total = tuple(sum(cs, Fraction(0)) for cs in zip(*combo))
-            if total == bp.coords:
-                found = True
-                break
-        if not found:
-            return ConditionWitness(False, bp.coords, variant)
-    # with no juniors, any nonzero point above already failed
-    return ConditionWitness(True, None, variant)
+        p = bp.coords
+        if any(p) and not any(
+            all(d <= c for c, d in zip(p, j)) for j in juniors
+        ):
+            return ConditionWitness(False, p)
+    return ConditionWitness(True, None)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from mckay.age import (
     inverse_bijection,
 )
 from mckay.groupfile import parse_group_file
-from mckay.matgroup import close_group
 from mckay.quiver import fold
 from mckay.toric import (
     DiagonalGroupSpec,
@@ -119,7 +118,7 @@ def test_criterion_4_cyclic_7_ages_and_inversion():
             assert eigen_exponents(group, group.power(g, k)).age == 1
         for k in (3, 5, 6):
             assert eigen_exponents(group, group.power(g, k)).age == 2
-        inverted = close_group(group.inverted_generators())
+        inverted = parse_group_file(group_path("cyclic_7_124")).inverted().close()
         gi = inverted.generator_indices[0]
         for k in (1, 2, 4):
             assert eigen_exponents(inverted, inverted.power(gi, k)).age == 2

@@ -12,11 +12,12 @@ from mckay.age import (
     grade,
     inverse_bijection,
 )
-from mckay.errors import RequirementError
+from mckay.errors import InternalInvariantError, RequirementError
+from mckay.groupfile import parse_group_file
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 
-from conftest import CORPUS, closed_group, graded_table
+from conftest import CORPUS, closed_group, graded_table, group_path
 
 
 def _diag_group(n, generators):
@@ -188,3 +189,15 @@ def test_elementary_symmetric_exponents():
     assert values == [Fraction(1), Fraction(2, 7), Fraction(8, 343)]
     identity = FractionalExpression(1, (0, 0))
     assert elementary_symmetric_exponents(identity) == [Fraction(0), Fraction(0)]
+
+
+def test_grade_rejects_a_class_that_is_not_age_constant(monkeypatch):
+    # forge the class of g (age 1) to also hold g^3 (age 2)
+    group = parse_group_file(group_path("cyclic_7_124")).close()
+    g = group.generator_indices[0]
+    k = group.class_of[g]
+    monkeypatch.setattr(group.classes[k], "members",
+                        tuple(sorted((g, group.power(g, 3)))))
+    with pytest.raises(InternalInvariantError,
+                       match=f"conjugacy class {k} is not age-constant"):
+        grade(group)

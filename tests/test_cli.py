@@ -100,6 +100,48 @@ def test_toric_check_cyclic7(capsys):
     assert data["simplex_count"] == 7
 
 
+def test_toric_commands_build_no_matrix_group(capsys, monkeypatch):
+    # the toric commands work on the overlattice alone: no closure, no field
+    def refuse(*args, **kwargs):
+        raise AssertionError("toric command built a matrix group or field")
+
+    for target in ("mckay.groupfile.close_group", "mckay.groupfile.cyclotomic_field",
+                   "mckay.toric.cyclotomic_field"):
+        monkeypatch.setattr(target, refuse)
+    for name in ("cyclic_7_124", "terminal_5_1423"):
+        for action in ("juniors", "box", "resolve", "check"):
+            for choice in ("standard", "inverse"):
+                code, out, err = run(capsys, "toric", action,
+                                     str(group_path(name)), "--choice", choice)
+                if action == "resolve" and name == "terminal_5_1423":
+                    assert (code, err) == (
+                        3, "error: toric resolution implemented for n in "
+                        "(2, 3), got 4\n")
+                else:
+                    assert code == 0, err
+                    assert json.loads(out)["group"]["order"] in (5, 7)
+
+
+def test_toric_max_order_cap_matches_closure(capsys):
+    path = str(group_path("cyclic_7_124"))
+    info = run(capsys, "info", path, "--max-order", "6")
+    juniors = run(capsys, "toric", "juniors", path, "--max-order", "6")
+    assert juniors == info
+    assert info == (4, "", "error: closure exceeded cap of 6 elements; "
+                    "group too large or infinite\n")
+    assert run_json(capsys, "toric", "juniors", path, "--max-order", "7")[
+        "group"]["order"] == 7
+
+
+def test_choice_inverse_rejects_a_singular_generator(capsys, tmp_path):
+    path = tmp_path / "singular.grp"
+    path.write_text("format matrix\ndimension 2\ncyclotomic_order 4\n"
+                    "generator A\n1, 0\n0, 0\n")
+    for choice in ("standard", "inverse"):
+        assert run(capsys, "info", str(path), "--choice", choice) == \
+            (3, "", "error: non-invertible generator\n")
+
+
 def test_toric_requires_diagonal_format(capsys):
     code, out, err = run(capsys, "toric", "juniors", str(group_path("bd8")))
     assert code == 2

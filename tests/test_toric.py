@@ -1,9 +1,20 @@
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mckay.errors import RequirementError
-from mckay.matgroup import close_group
+from mckay.age import betti_prediction, grade
+from mckay.cli import main
+from mckay.errors import ClosureCapError, RequirementError
+from mckay.groupfile import parse_group_file, parse_group_text
 from mckay.toric import (
     DiagonalGroupSpec,
     build_lattice,
@@ -15,9 +26,38 @@ from mckay.toric import (
     resolve,
 )
 
+from conftest import group_path
+
 
 def lattice(n, *generators):
     return build_lattice(DiagonalGroupSpec(n, tuple(generators)))
+
+
+@st.composite
+def diagonal_specs(draw, max_index, max_order=12, sl=True):
+    """Diagonal specs of dimension 2-4 with generator orders <= `max_order`
+    whose product is at most `max_index`; SL when `sl`, either kind when
+    `sl` is None."""
+    if sl is None:
+        sl = draw(st.booleans())
+    n = draw(st.integers(2, 4))
+    gens, bound = [], max_index
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.integers(1, min(max_order, bound)))
+        bound //= r
+        exps = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+        if sl:
+            exps[-1] = -sum(exps[:-1]) % r
+        gens.append((r, tuple(exps)))
+    return DiagonalGroupSpec(n, tuple(gens))
+
+
+def spec_text(spec):
+    lines = ["format diagonal", f"dimension {spec.n}"] + [
+        f"generator {r} : {' '.join(map(str, exps))}"
+        for r, exps in spec.generators
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def frac_point(*nums, den):
@@ -103,6 +143,50 @@ def test_condition_i_holds():
         assert witness.witness is None
 
 
+def multiset_condition_i(lattice):
+    """Reference for condition_i: search the multisets of a juniors summing
+    to each nonzero box point of age a, in lexicographic order."""
+    juniors = junior_points(lattice)
+    for bp in lattice.box_points:
+        if not any(bp.coords):
+            continue
+        a = bp.age.numerator
+        if not any(
+            tuple(sum(cs, Fraction(0)) for cs in zip(*combo)) == bp.coords
+            for combo in combinations_with_replacement(juniors, a)
+        ):
+            return False, bp.coords
+    return True, None
+
+
+def assert_matches_multiset_search(lat):
+    witness = condition_i(lat)
+    assert (witness.holds, witness.witness) == multiset_condition_i(lat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_specs(max_index=150))
+def test_condition_i_matches_multiset_search(spec):
+    assert_matches_multiset_search(build_lattice(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    parse_group_file(group_path("terminal_5_1423")).to_spec(),
+    DiagonalGroupSpec(4, ((5, (1, 4, 0, 0)), (5, (0, 1, 4, 0)), (5, (0, 0, 1, 4)))),
+], ids=["terminal_5_1423", "dim4_index125"])
+def test_condition_i_matches_multiset_search_examples(spec):
+    assert_matches_multiset_search(build_lattice(spec))
+
+
+def test_lattice_cap_counts_box_points():
+    spec = DiagonalGroupSpec(3, ((7, (1, 2, 4)),))
+    assert build_lattice(spec, cap=7).index == 7
+    with pytest.raises(ClosureCapError, match="cap of 6 elements"):
+        build_lattice(spec, cap=6)
+    with pytest.raises(ClosureCapError):
+        build_lattice(spec, cap=0)
+
+
 def test_condition_i_fails_for_terminal_example():
     lat = lattice(4, (5, (1, 4, 2, 3)))
     witness = condition_i(lat)
@@ -180,21 +264,40 @@ def test_resolve_unsupported_dimension():
         resolve(lattice(4, (4, (1, 1, 1, 1))))
 
 
-def test_box_ages_match_matrix_grading():
-    # cross-check: box point ages equal element ages of the closed
-    # diagonal matrix group (abelian, so classes are singletons)
-    from mckay.age import eigen_exponents
+def cli_group_block(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())["group"]
 
-    spec = DiagonalGroupSpec(3, ((7, (1, 2, 4)),))
-    lat = build_lattice(spec)
-    group = close_group(spec.matrices())
-    matrix_ages = sorted(
-        eigen_exponents(group, i).age for i in range(1, len(group))
-    )
-    box_ages = sorted(
-        int(bp.age) for bp in lat.box_points if any(bp.coords)
-    )
-    assert matrix_ages == box_ages
+
+@settings(max_examples=15, deadline=None)
+@given(text=diagonal_specs(max_index=16, max_order=4, sl=None).map(spec_text))
+@example(text=group_path("cyclic_7_124").read_text())
+@example(text=group_path("terminal_5_1423").read_text())
+def test_box_ages_match_matrix_grading(text):
+    # cross-check of the two sides on a diagonal group: box points are the
+    # elements of the closed matrix group, an abelian group
+    gf = parse_group_text(text)
+    lat = build_lattice(gf.to_spec())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "group.grp")
+        pathlib.Path(path).write_text(text)
+        for choice in ("standard", "inverse"):
+            assert cli_group_block("toric", "box", path, "--choice", choice) \
+                == cli_group_block("info", path, "--choice", choice)
+    if not lat.is_sl:
+        return
+    group = gf.close()
+    table = grade(group)
+    box_ages = Counter(int(bp.age) for bp in lat.box_points)
+    assert box_ages == Counter({
+        age: sum(table.classes[k].size for k in ids)
+        for age, ids in table.buckets.items()
+    })
+    assert len(table.junior_classes()) == crepant_divisor_count(lat)
+    if lat.n == 3:
+        betti = betti_prediction(group, table)
+        assert (betti.h2, betti.h4) == (box_ages[1], box_ages[2])
 
 
 def test_spec_validation():
