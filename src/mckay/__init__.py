@@ -26,6 +26,7 @@ from .cyclo import (
 )
 from .errors import (
     ClosureCapError,
+    FieldCapError,
     GroupFileError,
     InternalInvariantError,
     McKayError,

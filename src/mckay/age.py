@@ -68,7 +68,8 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     """
     r = group.elements[index].order
     field = cyclotomic_field(lcm(group.field.order, r))
-    zeta_r = field.zeta(field.order // r)
+    step = field.order // r
+    zeta_r_powers = [field.zeta(step * e) for e in range(r)]
     traces = []
     acc = 0
     for k in range(r):
@@ -80,7 +81,7 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     for a in range(r):
         m = field.zero()
         for k in range(r):
-            m = m + zeta_r ** ((-a * k) % r) * traces[k]
+            m = m + zeta_r_powers[(-a * k) % r] * traces[k]
         value = (m * Fraction(1, r)).as_rational()
         if value is None or value.denominator != 1 or value < 0:
             raise InternalInvariantError(

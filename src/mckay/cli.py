@@ -4,7 +4,8 @@ Commands read a group description file and emit a deterministic JSON report
 (or DOT text for diagrams).  Rationals are serialized as "p/q" strings.
 
 Exit codes: 0 success, 2 input/parse error, 3 requirement violation,
-4 resource cap exceeded, 5 internal invariant failure (always a bug).
+4 resource cap exceeded (closure size or cyclotomic field order), 5 internal
+invariant failure (always a bug).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import age as age_mod
 from . import quiver, toric, valuation
 from .errors import (
     ClosureCapError,
+    FieldCapError,
     GroupFileError,
     InternalInvariantError,
     RequirementError,
@@ -282,7 +284,7 @@ def main(argv=None) -> int:
     except RequirementError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except ClosureCapError as err:
+    except (ClosureCapError, FieldCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
     except InternalInvariantError as err:

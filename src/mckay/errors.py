@@ -29,5 +29,12 @@ class ClosureCapError(McKayError):
                          "group too large or infinite")
 
 
+class FieldCapError(McKayError):
+    """A cyclotomic field was requested past the largest supported order."""
+
+    def __init__(self, order, limit):
+        super().__init__(f"cyclotomic order {order} exceeds the limit of {limit}")
+
+
 class InternalInvariantError(McKayError):
     """A theory-guaranteed property failed to hold; always an implementation bug."""

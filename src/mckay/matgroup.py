@@ -18,8 +18,9 @@ DEFAULT_CAP = 100_000
 
 
 def _key(entries):
-    """Dedup key of a matrix: the normal-form coefficients of its entries."""
-    return tuple(tuple(x.coeffs for x in row) for row in entries)
+    """Dedup key of a matrix: the normal forms (numerators, denominator) of
+    its entries."""
+    return tuple(tuple((x.nums, x.den) for x in row) for row in entries)
 
 
 class GroupElement:

@@ -114,21 +114,6 @@ def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     )
 
 
-def monomial_valuation_from_weights(
-    group: MatrixGroup, weights: tuple[int, ...]
-) -> MonomialValuation:
-    """A monomial valuation in the standard coordinates, for weightings not
-    tied to a group element (the eigenbasis is the identity)."""
-    if len(weights) != group.dimension or any(w < 0 for w in weights):
-        raise RequirementError("weights must be nonnegative of length n")
-    weights = _primitivize(weights)
-    ident = linalg.identity(group.field, group.dimension)
-    decomposition = EigenDecomposition(
-        0, eigen_exponents(group, 0), ident, ident, weights, [], []
-    )
-    return MonomialValuation(weights, 0, 1, decomposition)
-
-
 def _in_eigenbasis(group: MatrixGroup, v: MonomialValuation, h: int) -> linalg.Matrix:
     d = v.decomposition
     entries = linalg.mat_embed(group.elements[h].entries, d.basis[0][0].field)

@@ -2,10 +2,12 @@ import importlib.util
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
 from mckay.cli import main
+from mckay.cyclo import MAX_FIELD_ORDER
 
 from conftest import group_path
 
@@ -231,6 +233,24 @@ def test_max_order_cap(capsys):
                          "--max-order", "4")
     assert code == 4
     assert "cap" in err
+
+
+@pytest.mark.parametrize("text, order", [
+    ("format matrix\ndimension 1\ncyclotomic_order 100000\ngenerator A\nz\n", 100000),
+    # coprime generator orders: the group's field is Q(zeta_(997*991))
+    ("format diagonal\ndimension 2\ngenerator 997 : 1 996\n"
+     "generator 991 : 1 990\n", 997 * 991),
+], ids=["matrix", "diagonal"])
+def test_field_order_cap(capsys, tmp_path, text, order):
+    path = tmp_path / "huge_field.grp"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert err == (f"error: cyclotomic order {order} exceeds the limit of "
+                   f"{MAX_FIELD_ORDER}\n")
 
 
 def test_max_order_cap_counts_identity_and_generators(capsys, tmp_path):

@@ -6,11 +6,14 @@ from mckay import linalg
 from mckay.errors import RequirementError
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
+from mckay.age import eigen_exponents
 from mckay.valuation import (
+    EigenDecomposition,
+    MonomialValuation,
+    _primitivize,
     diagonal_exponents,
     eigen_decompose,
     monomial_valuation,
-    monomial_valuation_from_weights,
     quotient_discrepancy,
     ram_group,
     stab_group,
@@ -110,6 +113,19 @@ def test_ram_is_subgroup_of_stab():
                 for m in ram.members:
                     conj = group.mul(group.mul(h, m), group.inv(h))
                     assert conj in ram_set
+
+
+def monomial_valuation_from_weights(group, weights):
+    """A monomial valuation in the standard coordinates, for weightings not
+    tied to a group element (the eigenbasis is the identity)."""
+    if len(weights) != group.dimension or any(w < 0 for w in weights):
+        raise RequirementError("weights must be nonnegative of length n")
+    weights = _primitivize(weights)
+    ident = linalg.identity(group.field, group.dimension)
+    decomposition = EigenDecomposition(
+        0, eigen_exponents(group, 0), ident, ident, weights, [], []
+    )
+    return MonomialValuation(weights, 0, 1, decomposition)
 
 
 def test_valuation_from_weights():
