@@ -30,6 +30,7 @@ from .errors import (
     GroupFileError,
     InternalInvariantError,
     McKayError,
+    ProbeCapError,
     RequirementError,
 )
 from .groupfile import GroupFile, parse_group_file, parse_group_text

@@ -2,11 +2,12 @@
 
 Eigenvalue exponents are computed by the exact trace formula
     m_a = (1/r) * sum_k zeta_r^(-a*k) * Tr(g^k),
-which self-checks integrality of every multiplicity.  The group stays in
-its own field Q(zeta_N); only the r scalars Tr(g^k) are embedded into
-Q(zeta_lcm(N, r)), the smallest cyclotomic field holding both them and
-zeta_r.  Grading is attached to conjugacy classes through a
-representative, with class-constancy asserted at runtime.
+which self-checks integrality of every multiplicity.  The powers g^k are
+looked up in the group's power walks, so Tr(g^k) is the trace of a stored
+matrix.  The group stays in its own field Q(zeta_N); only the r scalars
+Tr(g^k) are embedded into Q(zeta_lcm(N, r)), the smallest cyclotomic field
+holding both them and zeta_r.  Grading is attached to conjugacy classes
+through a representative, with class-constancy asserted at runtime.
 """
 
 from __future__ import annotations
@@ -70,11 +71,8 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     field = cyclotomic_field(lcm(group.field.order, r))
     step = field.order // r
     zeta_r_powers = [field.zeta(step * e) for e in range(r)]
-    traces = []
-    acc = 0
-    for k in range(r):
-        traces.append(group.elements[acc].trace().embed(field))
-        acc = group.mul(acc, index)
+    traces = [group.elements[group.power(index, k)].trace().embed(field)
+              for k in range(r)]
     n = group.dimension
     exponents = []
     total = 0
@@ -85,13 +83,15 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
         value = (m * Fraction(1, r)).as_rational()
         if value is None or value.denominator != 1 or value < 0:
             raise InternalInvariantError(
-                f"multiplicity of exponent {a} is {value}, not a nonnegative integer"
+                f"multiplicity of exponent {a} for element "
+                f"{group.describe(index)} is {value}, not a nonnegative integer"
             )
         exponents.extend([a] * value.numerator)
         total += value.numerator
     if total != n:
         raise InternalInvariantError(
-            f"exponent multiplicities sum to {total}, expected {n}"
+            f"exponent multiplicities of element {group.describe(index)} "
+            f"sum to {total}, expected {n}"
         )
     return FractionalExpression(r, tuple(exponents))
 

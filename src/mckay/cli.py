@@ -4,8 +4,9 @@ Commands read a group description file and emit a deterministic JSON report
 (or DOT text for diagrams).  Rationals are serialized as "p/q" strings.
 
 Exit codes: 0 success, 2 input/parse error, 3 requirement violation,
-4 resource cap exceeded (closure size or cyclotomic field order), 5 internal
-invariant failure (always a bug).
+4 resource cap exceeded (closure size, cyclotomic field order, or the number
+of monomials a `ram` probe degree enumerates), 5 internal invariant failure
+(always a bug).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     FieldCapError,
     GroupFileError,
     InternalInvariantError,
+    ProbeCapError,
     RequirementError,
 )
 from .groupfile import GroupFile, parse_group_file
@@ -188,13 +190,23 @@ def cmd_ram(args) -> str:
     rep = group.classes[args.class_id].representative
     if rep == 0:
         raise RequirementError("the identity class carries no monomial valuation")
+    body = {}
+    if gf.format == "diagonal":
+        # first, so that a probe degree over the limit is refused at once
+        probe = args.probe if args.probe else group.exponent
+        fingerprint = valuation.valuation_fingerprint(group, rep, probe)
+        body["probe_degree"] = probe
+        body["fingerprint"] = {
+            ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))
+            for m, v in sorted(fingerprint.items())
+        }
     v = valuation.monomial_valuation(group, rep)
     expr = v.decomposition.expression
     stab = valuation.stab_group(group, v)
     ram = valuation.ram_group(group, v)
     a_f = sum(expr.exponents) - 1
     a_e = valuation.quotient_discrepancy(a_f, ram.degree)
-    body = {
+    body.update({
         "class_id": args.class_id,
         "representative": group.element_name(rep),
         "fractional_expression": str(expr),
@@ -207,15 +219,7 @@ def cmd_ram(args) -> str:
         "a_F": a_f,
         "a_E": _frac(a_e),
         "experimental": expr.age >= 2,
-    }
-    if gf.format == "diagonal":
-        probe = args.probe if args.probe else group.exponent
-        fingerprint = valuation.valuation_fingerprint(group, rep, probe)
-        body["probe_degree"] = probe
-        body["fingerprint"] = {
-            ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))
-            for m, v in sorted(fingerprint.items())
-        }
+    })
     return _report(_group_block(group), body)
 
 
@@ -256,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conjugacy class id (see `classes`)")
     p_ram.add_argument("--probe", type=int, default=0,
                        help="probe degree for the invariant-monomial "
-                       "fingerprint (diagonal groups)")
+                       "fingerprint (diagonal groups; default the group "
+                       "exponent); a degree enumerating more than "
+                       f"{valuation.MAX_PROBE_MONOMIALS} monomials is exit 4")
     common(p_ram)
     return parser
 
@@ -284,7 +290,7 @@ def main(argv=None) -> int:
     except RequirementError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ClosureCapError, FieldCapError) as err:
+    except (ClosureCapError, FieldCapError, ProbeCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
     except InternalInvariantError as err:

@@ -36,5 +36,13 @@ class FieldCapError(McKayError):
         super().__init__(f"cyclotomic order {order} exceeds the limit of {limit}")
 
 
+class ProbeCapError(McKayError):
+    """A valuation fingerprint would enumerate more monomials than allowed."""
+
+    def __init__(self, degree, dimension, count, limit):
+        super().__init__(f"probe degree {degree} in dimension {dimension} "
+                         f"gives {count} monomials, over the limit of {limit}")
+
+
 class InternalInvariantError(McKayError):
     """A theory-guaranteed property failed to hold; always an implementation bug."""

@@ -1,15 +1,20 @@
 """Finite matrix groups over a cyclotomic field.
 
-Closure from generators by breadth-first search, element orders, conjugacy
-classes as orbits under conjugation by the generators, and maximal cyclic
-subgroups.  Elements are deduplicated through the unique normal form of
-their entries during closure; after it, every group operation works on
-element indices through the closure's right-multiplication table.
+Closure from generators by breadth-first search deduplicates elements
+through the unique normal form of their entries; after it, every group
+operation works on element indices.  Products come from the closure's
+right-multiplication table.  Powers come from one walk x^0, x^1, ...,
+x^(r-1) per cyclic subgroup <x> not reached by an earlier walk: an element
+found as x^k in a walk of length r has order r/gcd(r, k), and its powers,
+its inverse and its cyclic subgroup are read off that walk.  Conjugacy
+classes are orbits under conjugation by the generators; the maximal cyclic
+subgroups are the walks that no other walk contains.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from collections import Counter
+from math import gcd, lcm
 
 from . import linalg
 from .errors import ClosureCapError, RequirementError
@@ -84,24 +89,38 @@ class MatrixGroup:
     """A closed finite matrix group; immutable once constructed.
 
     `right[k][i]` is the index of elements[i] * generator k, as recorded by
-    the closure; products, inverses, orders and classes are read from it.
+    the closure; products and classes are read from it.  `_walks` holds one
+    power walk (x^0, x^1, ..., x^(r-1)) for each x, in index order, that no
+    earlier walk reached, and `_place[i]` is the pair (walk, k) with
+    walk[k] == i from the first walk that reached i.  Orders, powers,
+    inverses and cyclic subgroups are read from that pair.
     """
 
     def __init__(self, dimension, field, elements, generator_indices,
-                 generator_names, right):
+                 generator_names, right, in_sl):
         self.dimension = dimension
         self.field = field
         self.elements = elements
         self.generator_indices = generator_indices
         self.generator_names = generator_names
         self._right = right
-        self._fill_orders()
-        self.exponent = lcm(*(e.order for e in self.elements))
-        self.in_sl = all(
-            linalg.det(self.elements[i].entries) == 1 for i in generator_indices
-        )
-        self._inverses = [self.power(i, self.elements[i].order - 1)
-                          for i in range(len(self.elements))]
+        self.in_sl = in_sl
+        self._walks = []
+        self._place = [None] * len(elements)
+        for x in range(len(elements)):
+            if self._place[x] is not None:
+                continue
+            walk, acc = [0], x
+            while acc:
+                walk.append(acc)
+                acc = self.mul(acc, x)
+            walk = tuple(walk)
+            self._walks.append(walk)
+            for k, y in enumerate(walk):
+                if self._place[y] is None:
+                    self._place[y] = (walk, k)
+                    elements[y].order = len(walk) // gcd(len(walk), k)
+        self.exponent = lcm(*(len(walk) for walk in self._walks))
         self.class_of = {}
         self.classes = self._conjugacy_classes()
 
@@ -121,27 +140,18 @@ class MatrixGroup:
         return i
 
     def inv(self, i: int) -> int:
-        return self._inverses[i]
+        return self.power(i, -1)
 
-    def power(self, i: int, k: int) -> int:
-        result, base = 0, i
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+    def power(self, i: int, m: int) -> int:
+        walk, k = self._place[i]
+        return walk[k * m % len(walk)]
 
     def element_name(self, i: int) -> str:
         return self.elements[i].name(self.generator_names)
 
-    def _fill_orders(self):
-        for element in self.elements:
-            k, acc = 1, element.index
-            while acc != 0:
-                acc = self.mul(acc, element.index)
-                k += 1
-            element.order = k
+    def describe(self, i: int) -> str:
+        """The element's name and order, for error messages."""
+        return f"{self.element_name(i)} (order {self.elements[i].order})"
 
     def _conjugacy_classes(self):
         """Orbits of x -> g^-1 x g over the generators g, found in index
@@ -154,7 +164,7 @@ class MatrixGroup:
             while todo:
                 x = todo.pop()
                 for g in self.generator_indices:
-                    y = self.mul(self.mul(self._inverses[g], x), g)
+                    y = self.mul(self.mul(self.inv(g), x), g)
                     if y not in orbit:
                         orbit.add(y)
                         todo.append(y)
@@ -167,28 +177,22 @@ class MatrixGroup:
     # -- derived structure -------------------------------------------------
 
     def cyclic_subgroup(self, i: int) -> frozenset[int]:
-        members = {0}
-        acc = i
-        while acc != 0:
-            members.add(acc)
-            acc = self.mul(acc, i)
-        return frozenset(members)
+        walk, k = self._place[i]
+        return frozenset(walk[::gcd(len(walk), k)])
 
     def maximal_cyclic_subgroups(self) -> list[CyclicSubgroup]:
-        """All cyclic subgroups maximal under inclusion, each reported once."""
-        by_set: dict[frozenset[int], int] = {}
-        for i in range(len(self.elements)):
-            s = self.cyclic_subgroup(i)
-            gen = by_set.get(s)
-            # keep a generator of maximal order; ties go to the lowest index
-            if gen is None or self.elements[i].order > self.elements[gen].order:
-                by_set[s] = i
-        sets = list(by_set)
-        maximal = [
-            s for s in sets
-            if not any(s < other for other in sets)
+        """All cyclic subgroups maximal under inclusion, each reported once
+        with its lowest-index generator.
+
+        A maximal <g> is the walk of that generator: an earlier walk
+        reaching it would contain <g>, so equal it and start at a
+        lower-index generator.  A walk is maximal iff its generator lies in
+        no other walk."""
+        containing = Counter(y for walk in self._walks for y in walk)
+        subgroups = [
+            CyclicSubgroup(walk[1 % len(walk)], tuple(sorted(walk)))
+            for walk in self._walks if containing[walk[1 % len(walk)]] == 1
         ]
-        subgroups = [CyclicSubgroup(by_set[s], tuple(sorted(s))) for s in maximal]
         subgroups.sort(key=lambda sg: (len(sg.members), sg.members))
         return subgroups
 
@@ -203,12 +207,14 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
         raise RequirementError("at least one generator is required")
     n = len(generators[0])
     field = generators[0][0][0].field
+    determinants = []
     for g in generators:
         if len(g) != n or any(len(row) != n for row in g):
             raise RequirementError("generators must be square matrices of equal size")
         if any(x.field is not field for row in g for x in row):
             raise RequirementError("generators must share one cyclotomic field")
-        if not linalg.det(g):
+        determinants.append(linalg.det(g))
+        if not determinants[-1]:
             raise RequirementError("non-invertible generator")
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
@@ -238,4 +244,6 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
             product = linalg.mat_mul(element.entries, g)
             right[k].append(add(product, element.word + (k,)))
 
-    return MatrixGroup(n, field, elements, generator_indices, list(names), right)
+    in_sl = all(d == 1 for d in determinants)
+    return MatrixGroup(n, field, elements, generator_indices, list(names),
+                       right, in_sl)

@@ -53,7 +53,8 @@ def junior_chains(group: MatrixGroup) -> list[CyclicChain]:
         a = expr.exponents[0] if expr.exponents[0] != 0 else expr.exponents[1]
         if gcd(a, r) != 1:
             raise InternalInvariantError(
-                "cyclic generator has non-primitive eigenvalue exponent"
+                f"cyclic generator {group.describe(g)} has non-primitive "
+                f"eigenvalue exponent {a}"
             )
         a_inv = pow(a, -1, r)
         # the power sitting at interval position j has exponent j, i.e. g^(j/a)

@@ -13,13 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from . import linalg
 from .age import FractionalExpression, eigen_exponents
 from .cyclo import cyclotomic_field
-from .errors import InternalInvariantError, RequirementError
+from .errors import InternalInvariantError, ProbeCapError, RequirementError
 from .matgroup import MatrixGroup
+
+# Largest number of monomials a fingerprint enumerates; larger probe degrees
+# are refused before any is generated.  At this limit a whole `ram` command
+# took at most 0.62 s, for (1/2)(1,1,0) at probe 82, (1/2)(1,1) at probe 445
+# and a 6-dimensional group of order 30 at probe 16 (Python 3.11 on a 2-core
+# x86-64 host); at 200000 monomials it took 1.1-1.3 s.
+MAX_PROBE_MONOMIALS = 100_000
 
 
 @dataclass
@@ -66,8 +73,9 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
         expected = sum(1 for e in expr.exponents if e == a)
         if len(kernel) != expected:
             raise InternalInvariantError(
-                f"kernel dimension {len(kernel)} for exponent {a} does not "
-                f"match trace-formula multiplicity {expected}"
+                f"kernel dimension {len(kernel)} for exponent {a} of element "
+                f"{group.describe(index)} does not match trace-formula "
+                f"multiplicity {expected}"
             )
         for vec in kernel:
             columns.append(vec)
@@ -80,7 +88,10 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
         image = linalg.mat_vec(entries, tuple(col[j] for col in basis))
         for i in range(n):
             if image[i] != eigval * basis[i][j]:
-                raise InternalInvariantError("eigenvector verification failed")
+                raise InternalInvariantError(
+                    f"eigenvector verification failed for element "
+                    f"{group.describe(index)}"
+                )
     weights = _primitivize(exps)
     blocks = []
     filtration = []
@@ -138,10 +149,16 @@ def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
     member_set = set(members)
     for a in members:
         if group.inv(a) not in member_set:
-            raise InternalInvariantError("stabilizer is not closed under inverse")
+            raise InternalInvariantError(
+                f"stabilizer of the valuation of element "
+                f"{group.describe(v.source_index)} is not closed under inverse"
+            )
         for b in members:
             if group.mul(a, b) not in member_set:
-                raise InternalInvariantError("stabilizer is not closed under product")
+                raise InternalInvariantError(
+                    f"stabilizer of the valuation of element "
+                    f"{group.describe(v.source_index)} is not closed under product"
+                )
     return members
 
 
@@ -177,7 +194,10 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
         (h for h in ram if group.cyclic_subgroup(h) == set(ram)), None
     )
     if generator is None:
-        raise InternalInvariantError("ramification group is not cyclic")
+        raise InternalInvariantError(
+            f"ramification group of the valuation of element "
+            f"{group.describe(v.source_index)} is not cyclic"
+        )
     return RamificationGroup(ram, generator, len(ram))
 
 
@@ -247,6 +267,9 @@ def valuation_fingerprint(
     if probe_degree < 1:
         raise RequirementError("probe degree must be >= 1")
     n = group.dimension
+    count = comb(n + probe_degree, n) - 1
+    if count > MAX_PROBE_MONOMIALS:
+        raise ProbeCapError(probe_degree, n, count, MAX_PROBE_MONOMIALS)
     L = group.field.order
     generator_exps = [
         diagonal_exponents(group, i) for i in group.generator_indices

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from mckay import linalg
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
+from mckay.valuation import MAX_PROBE_MONOMIALS
 
 from conftest import group_path
 
@@ -202,6 +204,27 @@ def test_ram_rejects_identity_and_bad_id(capsys):
     assert code == 3
     code, _, err = run(capsys, "ram", str(group_path("bd8")), "--class", "99")
     assert code == 3
+
+
+def test_ram_probe_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ram", "--class", "1", "--probe", "3000",
+                         str(group_path("cyclic_7_124")))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == ("error: probe degree 3000 in dimension 3 gives 4509005500 "
+                   f"monomials, over the limit of {MAX_PROBE_MONOMIALS}\n")
+
+
+def test_internal_error_names_the_element(capsys, monkeypatch):
+    # a kernel of the wrong dimension is an invariant failure: exit 5, the
+    # message names the element being diagonalized, stdout stays empty
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: [])
+    code, out, err = run(capsys, "ram", "--class", "1", str(group_path("bd8")))
+    assert (code, out) == (5, "")
+    assert err == ("internal error: kernel dimension 0 for exponent 1 of "
+                   "element A (order 4) does not match trace-formula "
+                   "multiplicity 1\n")
 
 
 def test_missing_file(capsys):

@@ -119,21 +119,24 @@ def test_element_names():
 
 
 def reference_structure(group):
-    """Products, inverses, orders and conjugacy classes of a closed group,
-    found by brute force from matrix products and the dedup key alone."""
+    """Products, inverses, orders, conjugacy classes, power lists, cyclic
+    subgroups and maximal cyclic subgroups of a closed group, found by brute
+    force from matrix products and the dedup key alone."""
     elements = group.elements
     index = {_key(e.entries): e.index for e in elements}
     identity = index[_key(linalg.identity(group.field, group.dimension))]
     table = [[index[_key(linalg.mat_mul(a.entries, b.entries))] for b in elements]
              for a in elements]
     inverses = [row.index(identity) for row in table]
-    orders = []
+    # x^0, x^1, ... up to the last power before the identity comes back
+    powers = []
     for i in range(len(elements)):
-        k, acc = 1, i
+        walk, acc = [identity], i
         while acc != identity:
+            walk.append(acc)
             acc = table[acc][i]
-            k += 1
-        orders.append(k)
+        powers.append(walk)
+    orders = [len(walk) for walk in powers]
     # every element conjugated by every element, in index order
     classes, assigned = [], set()
     for i in range(len(elements)):
@@ -143,11 +146,23 @@ def reference_structure(group):
                                 for h in range(len(elements))}))
         assigned.update(members)
         classes.append(members)
-    return identity, table, inverses, orders, classes
+    cyclic = [frozenset(walk) for walk in powers]
+    # every cyclic subgroup with a generator of maximal order, ties to the
+    # lowest index; then those contained in no other
+    by_set = {}
+    for i, s in enumerate(cyclic):
+        gen = by_set.get(s)
+        if gen is None or orders[i] > orders[gen]:
+            by_set[s] = i
+    maximal = sorted(((by_set[s], tuple(sorted(s))) for s in by_set
+                      if not any(s < other for other in by_set)),
+                     key=lambda sg: (len(sg[1]), sg[1]))
+    return identity, table, inverses, orders, classes, cyclic, maximal
 
 
 def assert_matches_reference(group):
-    identity, table, inverses, orders, classes = reference_structure(group)
+    identity, table, inverses, orders, classes, cyclic, maximal = \
+        reference_structure(group)
     n = len(group)
     assert identity == 0
     assert [[group.mul(i, j) for j in range(n)] for i in range(n)] == table
@@ -157,6 +172,16 @@ def assert_matches_reference(group):
     assert [c.representative for c in group.classes] == [m[0] for m in classes]
     assert all(group.class_of[m] == k
                for k, members in enumerate(classes) for m in members)
+    for i in range(n):
+        # x^k and x^-k by repeated products with x and with x^-1
+        up = down = identity
+        for k in range(2 * orders[i] + 1):
+            assert group.power(i, k) == up
+            assert group.power(i, -k) == down == group.power(group.inv(i), k)
+            up, down = table[up][i], table[down][inverses[i]]
+    assert [group.cyclic_subgroup(i) for i in range(n)] == cyclic
+    assert [(sg.generator, sg.members)
+            for sg in group.maximal_cyclic_subgroups()] == maximal
 
 
 @pytest.mark.parametrize("name", CORPUS)
