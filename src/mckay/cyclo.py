@@ -7,10 +7,12 @@ reduced modulo the R-th cyclotomic polynomial and with
 gcd(den, *nums) = 1.  The normal form is unique, so equality and hashing
 compare integer tuples.  Arithmetic is integer arithmetic: sums add
 numerators over a common denominator, products convolve the numerators and
-reduce through the field's table of powers of zeta.  `fractions.Fraction`
-appears only at the boundaries: building elements from rational
-coefficients, reading them back (`as_rational`, `coeffs`, `to_literal`),
-and the rational Euclid of `inverse`.
+reduce through the field's table of powers of zeta.  That reduction is one
+method, `CyclotomicField.reduce`, shared by `CycNum.__mul__` and the matrix
+product kernel of `linalg`, which reduces each entry's sum of products
+once.  `fractions.Fraction` appears only at the boundaries: building
+elements from rational coefficients, reading them back (`as_rational`,
+`coeffs`, `to_literal`), and the rational Euclid of `inverse`.
 
 Convention: the field generator ``zeta`` is the distinguished primitive
 R-th root of unity.  All gradings downstream depend on this choice; the
@@ -121,6 +123,20 @@ class CyclotomicField:
         self._power_table = table
         self._zero = CycNum(self, (0,) * self.degree)
         self._one = self.element({0: 1})
+
+    def reduce(self, conv: list[int]) -> tuple[int, ...]:
+        """The numerators of sum_k conv[k] * zeta^k reduced modulo Phi_R,
+        for a buffer of at most 2 * degree - 1 integers, such as the
+        convolution of two numerator vectors; `conv` is consumed."""
+        deg = self.degree
+        table = self._power_table
+        for k in range(deg, len(conv)):
+            c = conv[k]
+            if c:
+                for i, t in table[k]:
+                    conv[i] += c * t
+        del conv[deg:]
+        return tuple(conv)
 
     def zero(self) -> "CycNum":
         return self._zero
@@ -239,21 +255,13 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         field = self.field
-        deg = field.degree
-        conv = [0] * (2 * deg - 1)
+        conv = [0] * (2 * field.degree - 1)
         terms = [(j, b) for j, b in enumerate(other.nums) if b]
         for i, a in enumerate(self.nums):
             if a:
                 for j, b in terms:
                     conv[i + j] += a * b
-        table = field._power_table
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                for i, t in table[k]:
-                    conv[i] += c * t
-        del conv[deg:]
-        return CycNum(field, tuple(conv), self.den * other.den)
+        return CycNum(field, field.reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__
 

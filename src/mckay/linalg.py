@@ -1,13 +1,21 @@
 """Exact dense linear algebra over a cyclotomic field.
 
-Matrices are tuples of row tuples of CycNum.  Everything here is fraction-free
-in spirit but not in implementation: entries are exact, so plain Gaussian
-elimination with division is fine at the sizes this library sees (n <= 4).
+Matrices are tuples of row tuples of CycNum.  A product entry is computed
+in integers: the products x*y of its row and column are put over one
+common denominator, their numerators are convolved into one buffer, the
+buffer is reduced modulo Phi_R once, and one CycNum is built from it.
+`RightMultiplier` keeps the nonzero numerator terms of a fixed right
+factor, so a closure multiplying many matrices by one generator extracts
+them once.  Elimination (`det`, `rref`) divides by pivots; entries are
+exact and the sizes this library sees are small (n <= 4).
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .cyclo import CyclotomicField, CycNum
+from .errors import RequirementError
 
 Matrix = tuple[tuple[CycNum, ...], ...]
 
@@ -19,16 +27,71 @@ def identity(field: CyclotomicField, n: int) -> Matrix:
     )
 
 
+def _field_of(a: Matrix) -> CyclotomicField:
+    field = a[0][0].field
+    for row in a:
+        for x in row:
+            if x.field is not field:
+                raise RequirementError(f"field mismatch: {field} vs {x.field}")
+    return field
+
+
+def _terms(x: CycNum) -> tuple[tuple[int, int], ...]:
+    """The nonzero numerators of x as (power of zeta, integer) pairs."""
+    return tuple((i, c) for i, c in enumerate(x.nums) if c)
+
+
+def _dot(field: CyclotomicField, pairs) -> CycNum:
+    """sum of x*y over `pairs` of (x.den * y.den, terms of x, terms of y):
+    every product over the lcm of the denominators, one convolution buffer,
+    one reduction modulo Phi_R."""
+    if not pairs:
+        return field.zero()
+    den = lcm(*(d for d, _, _ in pairs))
+    conv = [0] * (2 * field.degree - 1)
+    for d, left, right in pairs:
+        scale = den // d
+        for i, a in left:
+            a *= scale
+            for j, b in right:
+                conv[i + j] += a * b
+    return CycNum(field, field.reduce(conv), den)
+
+
+class RightMultiplier:
+    """The map a -> a*b for a fixed matrix b.  Each column of b is kept as
+    its nonzero entries (row, denominator, numerator terms)."""
+
+    __slots__ = ("field", "columns")
+
+    def __init__(self, b: Matrix):
+        self.field = _field_of(b)
+        self.columns = tuple(
+            tuple((k, y.den, _terms(y)) for k, y in enumerate(column) if y)
+            for column in zip(*b)
+        )
+
+    def __call__(self, a: Matrix) -> Matrix:
+        field = self.field
+        if _field_of(a) is not field:
+            raise RequirementError(f"field mismatch: {a[0][0].field} vs {field}")
+        out = []
+        for row in a:
+            left = [(x.den, _terms(x)) if x else None for x in row]
+            out.append(tuple(
+                _dot(field, [(left[k][0] * den, left[k][1], right)
+                             for k, den, right in column if left[k]])
+                for column in self.columns
+            ))
+        return tuple(out)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), row[0].field.zero()) for col in bt)
-        for row in a
-    )
+    return RightMultiplier(b)(a)
 
 
 def mat_vec(a: Matrix, v: tuple[CycNum, ...]) -> tuple[CycNum, ...]:
-    return tuple(sum((x * y for x, y in zip(row, v)), row[0].field.zero()) for row in a)
+    return tuple(x for (x,) in mat_mul(a, tuple((x,) for x in v)))
 
 
 def trace(a: Matrix) -> CycNum:
@@ -48,9 +111,11 @@ def det(a: Matrix) -> CycNum:
             m[col], m[pivot] = m[pivot], m[col]
             result = -result
         result = result * m[col][col]
-        inv = m[col][col].inverse()
+        inv = None  # the pivot is inverted only if a row below needs it
         for r in range(col + 1, n):
             if m[r][col]:
+                if inv is None:
+                    inv = m[col][col].inverse()
                 f = m[r][col] * inv
                 for c in range(col, n):
                     m[r][c] = m[r][c] - f * m[col][c]

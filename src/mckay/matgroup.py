@@ -200,8 +200,10 @@ class MatrixGroup:
 def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     """Breadth-first closure of a generator list under multiplication.
 
-    The result contains the identity and all products and inverses; raises
-    ClosureCapError if more than `cap` elements appear.
+    Each generator is prepared once as a `linalg.RightMultiplier`, which
+    computes every product element * generator.  The result contains the
+    identity and all products and inverses; raises ClosureCapError if more
+    than `cap` elements appear.
     """
     if not generators:
         raise RequirementError("at least one generator is required")
@@ -236,13 +238,13 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     add(linalg.identity(field, n), ())
     generator_indices = tuple(add(tuple(tuple(row) for row in g), (k,))
                               for k, g in enumerate(generators))
+    multipliers = [linalg.RightMultiplier(g) for g in generators]
     right = [[] for _ in generators]
     # `elements` grows during the scan, so this visits elements in
     # breadth-first order and right[k][i] is filled for every i.
     for element in elements:
-        for k, g in enumerate(generators):
-            product = linalg.mat_mul(element.entries, g)
-            right[k].append(add(product, element.word + (k,)))
+        for k, times_g in enumerate(multipliers):
+            right[k].append(add(times_g(element.entries), element.word + (k,)))
 
     in_sl = all(d == 1 for d in determinants)
     return MatrixGroup(n, field, elements, generator_indices, list(names),

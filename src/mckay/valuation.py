@@ -11,6 +11,7 @@ single root of unity eps.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -46,6 +47,10 @@ class MonomialValuation:
     source_index: int
     ramification_degree: int
     decomposition: EigenDecomposition
+    # B^-1 g B for every element g of the group, B the eigenbasis; filled
+    # on first use by stab_group or ram_group
+    eigenbasis_images: list[linalg.Matrix] | None = dataclasses.field(
+        default=None, repr=False, compare=False)
 
 
 def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
@@ -125,40 +130,70 @@ def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     )
 
 
-def _in_eigenbasis(group: MatrixGroup, v: MonomialValuation, h: int) -> linalg.Matrix:
-    d = v.decomposition
-    entries = linalg.mat_embed(group.elements[h].entries, d.basis[0][0].field)
-    return linalg.mat_mul(d.basis_inverse, linalg.mat_mul(entries, d.basis))
+def _eigenbasis_images(group: MatrixGroup, v: MonomialValuation) -> list[linalg.Matrix]:
+    """Every element conjugated into the eigenbasis of `v`, computed once
+    per valuation."""
+    if v.eigenbasis_images is None:
+        d = v.decomposition
+        field = d.basis[0][0].field
+        times_basis = linalg.RightMultiplier(d.basis)
+        v.eigenbasis_images = [
+            linalg.mat_mul(d.basis_inverse,
+                           times_basis(linalg.mat_embed(element.entries, field)))
+            for element in group.elements
+        ]
+    return v.eigenbasis_images
 
 
-def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
-    """Elements preserving the equal-weight eigenspace decomposition,
-    i.e. block diagonal in the eigenbasis; verified to form a subgroup."""
+def _stabilizer_members(group: MatrixGroup, v: MonomialValuation) -> list[int]:
+    """Indices of the elements block diagonal in the eigenbasis of `v`."""
     weights = v.weights
     n = group.dimension
-    members = []
-    for h in range(len(group.elements)):
-        m = _in_eigenbasis(group, v, h)
+    return [
+        h for h, m in enumerate(_eigenbasis_images(group, v))
         if all(
             not m[i][j]
             for i in range(n)
             for j in range(n)
             if weights[i] != weights[j]
-        ):
-            members.append(h)
+        )
+    ]
+
+
+def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
+    """Elements preserving the equal-weight eigenspace decomposition,
+    i.e. block diagonal in the eigenbasis; verified to form a subgroup.
+
+    The check builds generators T greedily, each member not yet in <T>
+    joining T, and closes <T> under right multiplication by T; every
+    element reached must be a member.  Every member is reached, so the
+    members form the subgroup <T>, at |S| * |T| products."""
+    members = _stabilizer_members(group, v)
     member_set = set(members)
+    what = (f"stabilizer of the valuation of element "
+            f"{group.describe(v.source_index)}")
+    if 0 not in member_set:
+        raise InternalInvariantError(f"{what} does not contain the identity")
+    span, gens = {0}, []
     for a in members:
-        if group.inv(a) not in member_set:
-            raise InternalInvariantError(
-                f"stabilizer of the valuation of element "
-                f"{group.describe(v.source_index)} is not closed under inverse"
-            )
-        for b in members:
-            if group.mul(a, b) not in member_set:
+        if a in span:
+            continue
+        gens.append(a)
+        # the elements already in <T> need only the new generator
+        todo = [(x, a) for x in sorted(span)]
+        while todo:
+            x, t = todo.pop()
+            y = group.mul(x, t)
+            if y in span:
+                continue
+            if y not in member_set:
                 raise InternalInvariantError(
-                    f"stabilizer of the valuation of element "
-                    f"{group.describe(v.source_index)} is not closed under product"
+                    f"{what} is not closed under product: it contains "
+                    f"{group.describe(x)} and {group.describe(t)} but not "
+                    f"their product"
                 )
+            span.add(y)
+            todo.extend((y, g) for g in gens)
     return members
 
 
@@ -179,8 +214,7 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
     members = []
     # Bezout combination picking out eps from the diagonal entries
     nonzero = [i for i in range(n) if weights[i]]
-    for h in range(len(group.elements)):
-        m = _in_eigenbasis(group, v, h)
+    for h, m in enumerate(_eigenbasis_images(group, v)):
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
             continue
         diag = [m[i][i] for i in range(n)]

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mckay import linalg
+from mckay import linalg, valuation
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
 from mckay.valuation import MAX_PROBE_MONOMIALS
@@ -225,6 +225,22 @@ def test_internal_error_names_the_element(capsys, monkeypatch):
     assert err == ("internal error: kernel dimension 0 for exponent 1 of "
                    "element A (order 4) does not match trace-formula "
                    "multiplicity 1\n")
+
+
+@pytest.mark.parametrize("members, reason", [
+    (lambda g: [0, g.generator_indices[0]],
+     "is not closed under product: it contains A (order 4) and A (order 4) "
+     "but not their product"),
+    (lambda g: list(range(1, len(g))), "does not contain the identity"),
+])
+def test_stabilizer_that_is_no_subgroup_is_an_internal_error(
+        capsys, monkeypatch, members, reason):
+    monkeypatch.setattr(valuation, "_stabilizer_members",
+                        lambda group, v: members(group))
+    code, out, err = run(capsys, "ram", "--class", "1", str(group_path("bd8")))
+    assert (code, out) == (5, "")
+    assert err == ("internal error: stabilizer of the valuation of element "
+                   f"A (order 4) {reason}\n")
 
 
 def test_missing_file(capsys):

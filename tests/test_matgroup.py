@@ -17,6 +17,7 @@ from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import monomial_valuation, ram_group, stab_group
 
 from conftest import CORPUS, closed_group, group_path
+from test_linalg import oracle_mat_mul
 
 EXPECTED_ORDERS = {
     "bd8": (8, 5),
@@ -121,11 +122,11 @@ def test_element_names():
 def reference_structure(group):
     """Products, inverses, orders, conjugacy classes, power lists, cyclic
     subgroups and maximal cyclic subgroups of a closed group, found by brute
-    force from matrix products and the dedup key alone."""
+    force from per-scalar matrix products and the dedup key alone."""
     elements = group.elements
     index = {_key(e.entries): e.index for e in elements}
     identity = index[_key(linalg.identity(group.field, group.dimension))]
-    table = [[index[_key(linalg.mat_mul(a.entries, b.entries))] for b in elements]
+    table = [[index[_key(oracle_mat_mul(a.entries, b.entries))] for b in elements]
              for a in elements]
     inverses = [row.index(identity) for row in table]
     # x^0, x^1, ... up to the last power before the identity comes back
@@ -215,7 +216,9 @@ def test_group_operations_need_no_field_arithmetic(monkeypatch):
         raise AssertionError("field arithmetic after closure")
 
     monkeypatch.setattr(linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(linalg.RightMultiplier, "__call__", forbidden)
     monkeypatch.setattr(cyclo.CycNum, "__mul__", forbidden)
+    monkeypatch.setattr(cyclo.CycNum, "__init__", forbidden)
     n = len(group)
     for i in range(n):
         for j in range(n):
