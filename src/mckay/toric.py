@@ -1,17 +1,26 @@
 """The abelian / toric side: overlattice, unit-box points, junior simplex,
 discrepancies, and crepant toric resolutions in dimensions 2 and 3.
 
-Points are exact rationals with denominators dividing the lcm of the
-generator orders.  The n = 3 resolution charts the lattice points of the
-junior triangle into an affine Z^2 and triangulates by point insertion;
-every cell is then verified to be basic (normalized volume 1), which for a
-planar full triangulation is automatic but asserted anyway.
+Every point of the overlattice has coordinates over one denominator D, the
+exponent of the group, so a box point p is kept as the integer vector
+P = D*p with entries in [0, D).  The scan adds the generators' step vectors
+mod D, the age of p is sum(P)/D, and the junior points are those with
+sum(P) = D.  `Fraction` points are built only for output: `box_points`,
+`junior_points`, the condition (i) witness and the resolution's vertices.
+
+The n = 3 resolution charts the lattice points of the junior triangle into
+an affine Z^2 and triangulates by point insertion, locating each point by a
+straight walk from the newest triangle (Devillers, Pion and Teillaud,
+"Walking in a triangulation", 2002).  Every cell is then verified to be
+basic (normalized volume 1), which for a planar full triangulation is
+automatic but asserted anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .cyclo import cyclotomic_field
@@ -73,47 +82,83 @@ class BoxPoint:
 class OverLattice:
     """L = Z^n + sum Z*g_i with the box points L intersected with [0,1)^n,
     the elements of the diagonal group: like close_group, the scan raises
-    ClosureCapError past `cap` of them."""
+    ClosureCapError past `cap` of them.
+
+    `scaled_points` are the box points times `denominator`, as integer
+    vectors in lexicographic order; `box_points` is their `Fraction` view.
+    """
 
     def __init__(self, spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP):
         self.spec = spec
         self.n = spec.n
         self.is_sl = spec.is_sl
-        residues = [
-            tuple(Fraction(a, r) for a in exps) for r, exps in spec.generators
-        ]
-        found = [(Fraction(0),) * self.n]
+        d = lcm(1, *(r for r, _ in spec.generators))
+        steps = [tuple(a * (d // r) for a in exps) for r, exps in spec.generators]
+        # points are sums of steps, so dividing out the steps' common factor
+        # with d leaves the lcm of the reduced point denominators
+        g = gcd(d, *(a for step in steps for a in step))
+        self.denominator = den = d // g
+        steps = [tuple(a // g for a in step) for step in steps]
+        found = [(0,) * self.n]
         points = set(found)
         # `found` grows during the scan, so this is a breadth-first search
         for p in found:
             if len(found) > cap:
                 raise ClosureCapError(cap)
-            for g in residues:
-                q = tuple((a + b) % 1 for a, b in zip(p, g))
+            for step in steps:
+                q = tuple((a + b) % den for a, b in zip(p, step))
                 if q not in points:
                     points.add(q)
                     found.append(q)
-        self.denominator = lcm(1, *(c.denominator for p in points for c in p))
         self._point_set = points
-        self.box_points = [
-            BoxPoint(p, sum(p, Fraction(0)), self._is_primitive(p))
-            for p in sorted(points)
-        ]
+        self.scaled_points = sorted(points)
         self.index = len(points)
 
-    def contains(self, point: Point) -> bool:
-        return tuple(c % 1 for c in point) in self._point_set
+    @cached_property
+    def box_points(self) -> list[BoxPoint]:
+        den = self.denominator
+        return [
+            BoxPoint(_fraction_point(p, den), Fraction(sum(p), den),
+                     self._is_primitive(p))
+            for p in self.scaled_points
+        ]
 
-    def _is_primitive(self, point: Point) -> bool:
-        if not any(point):
-            return False
-        for m in range(2, self.denominator + 1):
-            if tuple(c / m for c in point) in self._point_set:
+    def contains(self, point: Point) -> bool:
+        scaled = []
+        for c in map(Fraction, point):
+            q, rem = divmod(c.numerator * self.denominator, c.denominator)
+            if rem:
                 return False
-        return True
+            scaled.append(q % self.denominator)
+        return tuple(scaled) in self._point_set
+
+    def _is_primitive(self, scaled: tuple[int, ...]) -> bool:
+        # p/m lies in L only if m divides every entry of P = D*p, and then so
+        # does p/q for a prime q | m, as the multiple (m/q)*(p/m)
+        g = gcd(*scaled)
+        return bool(g) and not any(
+            tuple(c // q for c in scaled) in self._point_set
+            for q in _prime_factors(g)
+        )
 
     def __repr__(self):
         return f"OverLattice(n={self.n}, index={self.index})"
+
+
+def _prime_factors(m: int):
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            yield q
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        yield m
+
+
+def _fraction_point(scaled: tuple[int, ...], den: int) -> Point:
+    return tuple(Fraction(c, den) for c in scaled)
 
 
 def build_lattice(spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP) -> OverLattice:
@@ -125,14 +170,20 @@ def _require_sl(lattice: OverLattice):
         raise RequirementError("operation requires an SL (sum = 0 mod r) spec")
 
 
+def _juniors(lattice: OverLattice) -> list[tuple[int, ...]]:
+    """Scaled box points on the hyperplane sum = 1, in lexicographic order."""
+    _require_sl(lattice)
+    den = lattice.denominator
+    return [p for p in lattice.scaled_points if sum(p) == den]
+
+
 def junior_points(lattice: OverLattice) -> list[Point]:
     """Box points on the hyperplane sum = 1, in lexicographic order."""
-    _require_sl(lattice)
-    return [bp.coords for bp in lattice.box_points if bp.age == 1]
+    return [_fraction_point(p, lattice.denominator) for p in _juniors(lattice)]
 
 
 def crepant_divisor_count(lattice: OverLattice) -> int:
-    return len(junior_points(lattice))
+    return len(_juniors(lattice))
 
 
 def gamma2_hyperplane_count(lattice: OverLattice) -> int:
@@ -142,7 +193,8 @@ def gamma2_hyperplane_count(lattice: OverLattice) -> int:
         raise RequirementError(
             f"hyperplane count requires dimension 4, got {lattice.n}"
         )
-    return sum(1 for bp in lattice.box_points if bp.age == 2)
+    twice = 2 * lattice.denominator
+    return sum(1 for p in lattice.scaled_points if sum(p) == twice)
 
 
 def discrepancy(weights, order: int = 1) -> Fraction:
@@ -181,19 +233,48 @@ def condition_i(lattice: OverLattice) -> ConditionWitness:
     j <= p.  That p - j is a box point preceding p lexicographically, so one
     lexicographic pass reaches every earlier point before p, and p is
     reachable iff it dominates a junior; the witness is the first that
-    does not.
+    does not.  A junior dominates itself, so only ages >= 2 are searched,
+    in a k-d tree of the juniors.
     """
-    _require_sl(lattice)
-    juniors = junior_points(lattice)
-    for bp in lattice.box_points:
-        if bp.age.denominator != 1:
+    juniors = _kd_tree(_juniors(lattice))
+    den = lattice.denominator
+    for p in lattice.scaled_points:
+        age = sum(p)
+        if age % den:
             raise InternalInvariantError("SL box point with non-integer age")
-        p = bp.coords
-        if any(p) and not any(
-            all(d <= c for c, d in zip(p, j)) for j in juniors
-        ):
-            return ConditionWitness(False, p)
+        if age > den and not _dominates_one(juniors, p):
+            return ConditionWitness(False, _fraction_point(p, den))
     return ConditionWitness(True, None)
+
+
+def _kd_tree(points, depth=0):
+    """A k-d tree node (least corner, point, lower half, upper half), split
+    at the median of coordinate depth mod n; None when `points` is empty."""
+    if not points:
+        return None
+    axis = depth % len(points[0])
+    points = sorted(points, key=lambda p: p[axis])
+    mid = len(points) // 2
+    return (tuple(map(min, zip(*points))), points[mid],
+            _kd_tree(points[:mid], depth + 1),
+            _kd_tree(points[mid + 1:], depth + 1))
+
+
+def _dominates_one(node, p) -> bool:
+    """Whether p >= some point of the k-d tree `node` in every coordinate.
+    A subtree whose least corner p does not dominate holds no such point."""
+    if node is None:
+        return False
+    corner, point, lower, upper = node
+    for a, c in zip(p, corner):
+        if c > a:
+            return False
+    for a, b in zip(p, point):
+        if b > a:
+            break
+    else:
+        return True
+    return _dominates_one(lower, p) or _dominates_one(upper, p)
 
 
 @dataclass
@@ -221,27 +302,26 @@ def resolve(lattice: OverLattice) -> JuniorTriangulation:
     )
 
 
-def _unit_vectors(n: int) -> list[Point]:
-    return [
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    ]
+def _scaled_unit_vectors(n: int, den: int) -> list[tuple[int, ...]]:
+    return [tuple(den if i == j else 0 for j in range(n)) for i in range(n)]
 
 
 def _resolve_dim2(lattice: OverLattice) -> JuniorTriangulation:
-    juniors = junior_points(lattice)
-    vertices = _unit_vectors(2) + juniors
+    den = lattice.denominator
+    scaled = _scaled_unit_vectors(2, den) + _juniors(lattice)
+    vertices = [_fraction_point(p, den) for p in scaled]
     # order along the segment e1 -> e2 by decreasing first coordinate
     chain = [0] + sorted(
-        range(2, len(vertices)), key=lambda i: vertices[i][0], reverse=True
+        range(2, len(scaled)), key=lambda i: scaled[i][0], reverse=True
     ) + [1]
-    d = lattice.denominator
     simplices = []
     for a, b in zip(chain, chain[1:]):
-        p, q = vertices[a], vertices[b]
-        det = (p[0] * q[1] - p[1] * q[0]) * d * d
-        if det.denominator != 1 or abs(det.numerator) * lattice.index != d * d:
+        (p0, p1), (q0, q1) = scaled[a], scaled[b]
+        # den^2 times the determinant of the cone's rays
+        if abs(p0 * q1 - p1 * q0) * lattice.index != den * den:
             raise InternalInvariantError(
-                f"cone on {p}, {q} is not basic for the overlattice"
+                f"cone on {vertices[a]}, {vertices[b]} is not basic for the "
+                "overlattice"
             )
         simplices.append(tuple(sorted((a, b))))
     adjacency = [
@@ -301,15 +381,11 @@ def _integer_kernel_2d(s: tuple[int, int, int]) -> list[list[int]]:
 
 
 def _resolve_dim3(lattice: OverLattice) -> JuniorTriangulation:
-    juniors = junior_points(lattice)
-    vertices = _unit_vectors(3) + juniors
-    d = lattice.denominator
-    # integer model of d*L
-    rows = [tuple(d if i == j else 0 for j in range(3)) for i in range(3)]
-    rows += [
-        tuple(int(c * d) for c in bp.coords) for bp in lattice.box_points
-    ]
-    basis = _hnf_basis(rows)
+    den = lattice.denominator
+    units = _scaled_unit_vectors(3, den)
+    scaled = units + _juniors(lattice)
+    vertices = [_fraction_point(p, den) for p in scaled]
+    basis = _hnf_basis(units + lattice.scaled_points)  # a basis of den*L
     if len(basis) != 3:
         raise InternalInvariantError("overlattice model is not full rank")
     sums = tuple(sum(row) for row in basis)
@@ -317,25 +393,25 @@ def _resolve_dim3(lattice: OverLattice) -> JuniorTriangulation:
     w1 = [sum(c * b for c, b in zip(kernel[0], col)) for col in zip(*basis)]
     w2 = [sum(c * b for c, b in zip(kernel[1], col)) for col in zip(*basis)]
 
-    def chart(point: Point) -> tuple[int, int]:
-        # solve d*(p - e3) = x*w1 + y*w2 exactly
-        rhs = [d * (c - (1 if i == 2 else 0)) for i, c in enumerate(point)]
+    def chart(scaled_point, point: Point) -> tuple[int, int]:
+        # solve den*(p - e3) = x*w1 + y*w2 exactly
+        rhs = [c - (den if i == 2 else 0) for i, c in enumerate(scaled_point)]
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             det = w1[i] * w2[j] - w1[j] * w2[i]
             if det:
-                x = Fraction(rhs[i] * w2[j] - rhs[j] * w2[i], det)
-                y = Fraction(w1[i] * rhs[j] - w1[j] * rhs[i], det)
+                x, x_rem = divmod(rhs[i] * w2[j] - rhs[j] * w2[i], det)
+                y, y_rem = divmod(w1[i] * rhs[j] - w1[j] * rhs[i], det)
                 break
         else:  # pragma: no cover
             raise InternalInvariantError("chart directions are collinear")
-        if x.denominator != 1 or y.denominator != 1:
+        if x_rem or y_rem:
             raise InternalInvariantError(f"point {point} not integral in chart")
         for k in range(3):
             if x * w1[k] + y * w2[k] != rhs[k]:
                 raise InternalInvariantError(f"chart solve inconsistent at {point}")
-        return int(x), int(y)
+        return x, y
 
-    coords = [chart(v) for v in vertices]
+    coords = [chart(s, v) for s, v in zip(scaled, vertices)]
     triangles = _insert_triangulate(coords[:3], coords[3:])
     chart_to_id = {c: i for i, c in enumerate(coords)}
     simplices = sorted(
@@ -361,39 +437,88 @@ def _orient(a, b, c) -> int:
     return (v > 0) - (v < 0)
 
 
-def _on_segment(p, a, b) -> bool:
-    if _orient(a, b, p) != 0:
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
-        min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) and p != a and p != b
-
-
 def _insert_triangulate(corners, interior_points):
-    """Triangulate the triangle on `corners` by inserting each point,
-    splitting the containing cell (or the cells sharing a split edge)."""
-    triangles = [tuple(corners)]
+    """Triangulate the triangle on `corners` by inserting each point in
+    sorted order, splitting the cell that holds it (or the two cells sharing
+    the edge it lies on).
+
+    The triangles are kept counter-clockwise in an edge map: the directed
+    edge (u, v) of the triangle (u, v, w) maps to w, so the neighbour across
+    that edge is the triangle holding (v, u).  `_walk` finds each host,
+    starting from the last triangle made."""
+    a, b, c = corners
+    if _orient(a, b, c) < 0:
+        b, c = c, b
+    third = {}
+
+    def add(u, v, w):
+        third[u, v], third[v, w], third[w, u] = w, u, v
+
+    def remove(u, v, w):
+        del third[u, v], third[v, w], third[w, u]
+
+    add(a, b, c)
+    newest = (a, b, c)
     for p in sorted(interior_points):
-        strict_host = None
-        edge_hosts = []
-        for tri in triangles:
-            a, b, c = tri
-            o1, o2, o3 = _orient(a, b, p), _orient(b, c, p), _orient(c, a, p)
-            if o1 == o2 == o3 and o1 != 0:
-                strict_host = tri
-                break
-            for (u, v), w in (((a, b), c), ((b, c), a), ((c, a), b)):
-                if _on_segment(p, u, v):
-                    edge_hosts.append((tri, (u, v), w))
-        if strict_host is not None:
-            a, b, c = strict_host
-            triangles.remove(strict_host)
-            triangles.extend([(a, b, p), (b, c, p), (c, a, p)])
-        elif edge_hosts:
-            for tri, (u, v), w in edge_hosts:
-                triangles.remove(tri)
-                triangles.extend([(u, p, w), (p, v, w)])
+        a, b, c = _walk(third, newest, p, len(third) // 3)
+        remove(a, b, c)
+        if _orient(a, b, p) and _orient(b, c, p) and _orient(c, a, p):
+            add(a, b, p)
+            add(b, c, p)
+            newest = (c, a, p)
         else:
+            # rotate the host so that p lies on its edge (a, b)
+            while _orient(a, b, p):
+                a, b, c = b, c, a
+            newest = (p, b, c)
+            s = third.get((b, a))  # the host on the other side of the edge
+            if s is not None:
+                remove(b, a, s)
+                add(b, p, s)
+                add(p, a, s)
+            add(a, p, c)
+        add(*newest)
+    return [(u, v, w) for (u, v), w in third.items() if u < v and u < w]
+
+
+def _walk(third, start, p, max_steps):
+    """The triangle of the edge map `third` whose closure holds p, by a
+    straight walk from the centroid q of `start` towards p.
+
+    The walk crosses the triangles that the segment qp meets, in order, so
+    it ends within `max_steps` (the number of triangles) steps.  A vertex on
+    the line qp counts as left of it, as if the line were moved a little to
+    its right, off every vertex.  Leaving the junior triangle or exceeding
+    `max_steps` is an internal error that names p."""
+    a, b, c = start
+    if _orient(a, b, p) >= 0 and _orient(b, c, p) >= 0 and _orient(c, a, p) >= 0:
+        return start
+    # q = (a + b + c)/3: points are scaled by 3 to stay integral
+    qx, qy = a[0] + b[0] + c[0], a[1] + b[1] + c[1]
+    dx, dy = 3 * p[0] - qx, 3 * p[1] - qy
+
+    def left(s):
+        return dx * (3 * s[1] - qy) - dy * (3 * s[0] - qx) >= 0
+
+    # the edge (u, v) through which qp leaves: u right of it, v left
+    u, v = next((u, v) for u, v in ((a, b), (b, c), (c, a))
+                if not left(u) and left(v))
+    for _ in range(max_steps):
+        s = third.get((v, u))
+        if s is None:
             raise InternalInvariantError(
                 f"lattice point {p} lies outside the junior triangle"
             )
-    return triangles
+        # p lies beyond (u, v), so it is in (v, u, s) unless it lies beyond
+        # the edge through which qp leaves
+        if left(s):
+            if _orient(u, s, p) >= 0:
+                return v, u, s
+            v = s
+        else:
+            if _orient(s, v, p) >= 0:
+                return v, u, s
+            u = s
+    raise InternalInvariantError(
+        f"walk to lattice point {p} took more than {max_steps} steps"
+    )

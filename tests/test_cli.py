@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mckay import linalg, valuation
+from mckay import linalg, toric, valuation
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
 from mckay.valuation import MAX_PROBE_MONOMIALS
@@ -241,6 +241,24 @@ def test_stabilizer_that_is_no_subgroup_is_an_internal_error(
     assert (code, out) == (5, "")
     assert err == ("internal error: stabilizer of the valuation of element "
                    f"A (order 4) {reason}\n")
+
+
+def test_walk_past_its_bound_is_an_internal_error(capsys, monkeypatch):
+    # a walk that cannot reach its point within the step bound is an
+    # invariant failure: exit 5, the message names the point, stdout empty
+    walked, real_walk = [], toric._walk
+
+    def walk_no_steps(third, start, p, max_steps):
+        walked.append(p)
+        return real_walk(third, start, p, 0)
+
+    monkeypatch.setattr(toric, "_walk", walk_no_steps)
+    code, out, err = run(capsys, "toric", "resolve",
+                         str(group_path("cyclic_7_124")))
+    assert (code, out) == (5, "")
+    assert walked[-1] == (0, -2)
+    assert err == ("internal error: walk to lattice point (0, -2) took more "
+                   "than 0 steps\n")
 
 
 def test_missing_file(capsys):

@@ -6,14 +6,16 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mckay import toric
 from mckay.age import betti_prediction, grade
 from mckay.cli import main
-from mckay.errors import ClosureCapError, RequirementError
+from mckay.errors import ClosureCapError, InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file, parse_group_text
 from mckay.toric import (
     DiagonalGroupSpec,
@@ -34,13 +36,13 @@ def lattice(n, *generators):
 
 
 @st.composite
-def diagonal_specs(draw, max_index, max_order=12, sl=True):
-    """Diagonal specs of dimension 2-4 with generator orders <= `max_order`
-    whose product is at most `max_index`; SL when `sl`, either kind when
-    `sl` is None."""
+def diagonal_specs(draw, max_index, max_order=12, sl=True, dims=(2, 4)):
+    """Diagonal specs of dimension in `dims` (a range) with generator orders
+    <= `max_order` whose product is at most `max_index`; SL when `sl`,
+    either kind when `sl` is None."""
     if sl is None:
         sl = draw(st.booleans())
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(*dims))
     gens, bound = [], max_index
     for _ in range(draw(st.integers(1, 2))):
         r = draw(st.integers(1, min(max_order, bound)))
@@ -62,6 +64,177 @@ def spec_text(spec):
 
 def frac_point(*nums, den):
     return tuple(Fraction(a, den) for a in nums)
+
+
+class OracleLattice:
+    """The Fraction scan that the integer OverLattice replaced: box points
+    as exact rationals, primitivity by trying every m <= denominator."""
+
+    def __init__(self, spec):
+        residues = [
+            tuple(Fraction(a, r) for a in exps) for r, exps in spec.generators
+        ]
+        found = [(Fraction(0),) * spec.n]
+        points = set(found)
+        for p in found:
+            for g in residues:
+                q = tuple((a + b) % 1 for a, b in zip(p, g))
+                if q not in points:
+                    points.add(q)
+                    found.append(q)
+        self.denominator = lcm(1, *(c.denominator for p in points for c in p))
+        self.points = points
+        self.box = [
+            (p, sum(p, Fraction(0)), self.is_primitive(p)) for p in sorted(points)
+        ]
+
+    def contains(self, point):
+        return tuple(c % 1 for c in point) in self.points
+
+    def is_primitive(self, point):
+        if not any(point):
+            return False
+        for m in range(2, self.denominator + 1):
+            if tuple(c / m for c in point) in self.points:
+                return False
+        return True
+
+    def juniors(self):
+        return [p for p, age, _ in self.box if age == 1]
+
+    def condition_i(self):
+        juniors = self.juniors()
+        for p, _, _ in self.box:
+            if any(p) and not any(
+                all(d <= c for c, d in zip(p, j)) for j in juniors
+            ):
+                return False, p
+        return True, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_specs(max_index=150, sl=None))
+@example(DiagonalGroupSpec(3, ((6, (2, 4, 0)),)))  # element order 3 < r
+@example(DiagonalGroupSpec(3, ((6, (2, 4, 0)), (4, (2, 2, 0)))))
+@example(DiagonalGroupSpec(4, ((12, (6, 0, 4, 2)), (10, (5, 5, 0, 0)))))
+@example(DiagonalGroupSpec(3, ((1, (0, 0, 0)),)))
+@example(DiagonalGroupSpec(2, ((9, (3, 0)),)))  # not SL
+@example(DiagonalGroupSpec(4, ((5, (1, 4, 2, 3)),)))  # condition (i) fails
+def test_lattice_matches_fraction_oracle(spec):
+    lat, oracle = build_lattice(spec), OracleLattice(spec)
+    assert [(bp.coords, bp.age, bp.primitive) for bp in lat.box_points] \
+        == oracle.box
+    assert all(isinstance(c, Fraction) for bp in lat.box_points
+               for c in bp.coords + (bp.age,))
+    assert (lat.index, lat.denominator) == (len(oracle.box), oracle.denominator)
+    points = [p for p, _, _ in oracle.box]
+    offset = (Fraction(1, 2 * oracle.denominator),) + (Fraction(0),) * (spec.n - 1)
+    probes = [tuple(a + b for a, b in zip(p, q))
+              for p in points[:8] for q in points[-8:]]
+    probes += [tuple(a - b for a, b in zip(p, offset)) for p in points[:8]]
+    for probe in probes:
+        assert lat.contains(probe) == oracle.contains(probe), probe
+    if not spec.is_sl:
+        return
+    assert junior_points(lat) == oracle.juniors()
+    witness = condition_i(lat)
+    assert (witness.holds, witness.witness) == oracle.condition_i()
+    if spec.n == 4:
+        assert gamma2_hyperplane_count(lat) == \
+            sum(1 for _, age, _ in oracle.box if age == 2)
+
+
+def _oracle_orient(a, b, c):
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _oracle_on_segment(p, a, b):
+    if _oracle_orient(a, b, p) != 0:
+        return False
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
+        min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) and p != a and p != b
+
+
+def oracle_insert_triangulate(corners, interior_points):
+    """The point insertion that `_walk` replaced: every point scans every
+    triangle for its host, O(J^2) in all."""
+    triangles = [tuple(corners)]
+    for p in sorted(interior_points):
+        strict_host = None
+        edge_hosts = []
+        for tri in triangles:
+            a, b, c = tri
+            o1, o2, o3 = (_oracle_orient(a, b, p), _oracle_orient(b, c, p),
+                          _oracle_orient(c, a, p))
+            if o1 == o2 == o3 and o1 != 0:
+                strict_host = tri
+                break
+            for (u, v), w in (((a, b), c), ((b, c), a), ((c, a), b)):
+                if _oracle_on_segment(p, u, v):
+                    edge_hosts.append((tri, (u, v), w))
+        if strict_host is not None:
+            a, b, c = strict_host
+            triangles.remove(strict_host)
+            triangles.extend([(a, b, p), (b, c, p), (c, a, p)])
+        elif edge_hosts:
+            for tri, (u, v), w in edge_hosts:
+                triangles.remove(tri)
+                triangles.extend([(u, p, w), (p, v, w)])
+        else:
+            raise AssertionError(f"{p} lies outside the triangle")
+    return triangles
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_specs(max_index=400, max_order=30, dims=(3, 3)))
+@example(DiagonalGroupSpec(3, ((10, (1, 9, 0)), (10, (0, 1, 9)))))
+@example(DiagonalGroupSpec(3, ((17, (1, 16, 0)), (17, (0, 1, 16)))))
+@example(DiagonalGroupSpec(3, ((30, (1, 29, 0)), (30, (0, 1, 29)))))
+def test_walk_triangulation_matches_scan_oracle(spec):
+    lat = build_lattice(spec)
+    walked = resolve(lat)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toric, "_insert_triangulate", oracle_insert_triangulate)
+        scanned = resolve(lat)
+    assert (walked.simplices, walked.adjacency, walked.vertices) == \
+        (scanned.simplices, scanned.adjacency, scanned.vertices)
+
+
+def test_walk_outside_the_triangle_names_the_point():
+    with pytest.raises(InternalInvariantError,
+                       match=r"lattice point \(2, 1\) lies outside the junior"):
+        toric._insert_triangulate([(0, 0), (2, 0), (0, 2)], [(1, 1), (2, 1)])
+
+
+def test_toric_hot_path_does_no_fraction_arithmetic(monkeypatch):
+    """The scan, primitivity, junior counts, condition (i) and both
+    resolutions run on integers: building the Fraction outputs is allowed,
+    arithmetic and comparison on them is not."""
+    dim4 = DiagonalGroupSpec(
+        4, ((5, (1, 4, 0, 0)), (5, (0, 1, 4, 0)), (5, (0, 0, 1, 4))))
+    dim3 = DiagonalGroupSpec(3, ((6, (1, 5, 0)), (6, (0, 1, 5))))
+    dim2 = DiagonalGroupSpec(2, ((7, (1, 6)),))
+    expected = [resolve(build_lattice(s)).simplices for s in (dim2, dim3)]
+    primitive = [bp.primitive for bp in build_lattice(dim4).box_points]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the toric hot path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                 "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+                 "__pow__", "__neg__", "__abs__", "__eq__", "__lt__", "__le__",
+                 "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) < 1
+    lat = build_lattice(dim4)
+    assert crepant_divisor_count(lat) == 52
+    assert gamma2_hyperplane_count(lat) == 68
+    assert condition_i(lat).holds
+    assert [bp.primitive for bp in lat.box_points] == primitive
+    assert [resolve(build_lattice(s)).simplices for s in (dim2, dim3)] == expected
 
 
 def test_box_one_third_111():
