@@ -9,11 +9,9 @@ from .age import (
     BettiPrediction,
     FractionalExpression,
     GradedClassTable,
-    age_of,
     betti_prediction,
     eigen_exponents,
     fix_junior_check,
-    gamma1_zero,
     grade,
     inverse_bijection,
 )

@@ -96,12 +96,6 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     return FractionalExpression(r, tuple(exponents))
 
 
-def age_of(group: MatrixGroup, index: int) -> int:
-    if not group.in_sl:
-        raise RequirementError("age is only integral for SL groups")
-    return eigen_exponents(group, index).age
-
-
 @dataclass
 class ClassGrading:
     class_id: int
@@ -160,11 +154,6 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     if buckets.get(0) != [group.class_of[0]] or gradings[group.class_of[0]].size != 1:
         raise InternalInvariantError("age-0 stratum is not exactly the identity class")
     return GradedClassTable(group, gradings, buckets, gamma1_zero)
-
-
-def gamma1_zero(group: MatrixGroup) -> list[int]:
-    """Junior classes whose representatives fix only the origin."""
-    return grade(group).gamma1_zero
 
 
 def inverse_bijection(group: MatrixGroup, table: GradedClassTable | None = None) -> dict[int, int]:

@@ -277,8 +277,14 @@ _COMMANDS = {
 }
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process, on the first call
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         sys.stdout.write(_COMMANDS[args.command](args))
     except GroupFileError as err:

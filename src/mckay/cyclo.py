@@ -333,7 +333,7 @@ class CycNum:
                         rem[k + j] -= f * c
             rem = rem[: len(r1) - 1]
             # t_next = t0 - q*t1
-            qt = _poly_mul_frac(q, t1)
+            qt = _poly_mul(q, t1)
             t_next = [_ZERO] * max(len(t0), len(qt))
             for i, c in enumerate(t0):
                 t_next[i] += c
@@ -388,16 +388,6 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum({self.field!r}, {self.to_literal()})"
-
-
-def _poly_mul_frac(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 class LiteralSyntaxError(RequirementError):

@@ -1,17 +1,23 @@
 """Monomial valuations and their stabilizer / ramification subgroups.
 
 An element g of order r, diagonalized exactly over Q(zeta_lcm(N, r)) with
-Q(zeta_N) the group's field, yields the weighting
-beta = (b_1,...,b_n) on its eigencoordinates and the monomial valuation
-x_i -> b_i.  A group element lies in the stabilizer iff it is block
-diagonal with respect to the equal-weight eigenspace decomposition, and in
-the ramification group iff it acts as diag(eps^{b_1},...,eps^{b_n}) for a
-single root of unity eps.
+Q(zeta_N) the group's field, yields the weighting beta = (b_1,...,b_n) on
+its eigencoordinates, its exponents divided by their gcd, and the monomial
+valuation x_i -> b_i.
+
+The stabilizer is the set of elements block diagonal with respect to the
+equal-weight decomposition.  Equal weights are equal exponents, so the
+blocks are exactly the eigenspaces of g, and an element preserves every
+eigenspace of the diagonalizable g iff it commutes with g.  The stabilizer
+is therefore the centralizer C_G(g), read from the group's multiplication
+table without field arithmetic.  The ramification group is the subset of
+the stabilizer acting as diag(eps^{b_1},...,eps^{b_n}) for a single root of
+unity eps; only the stabilizer's members are conjugated into the eigenbasis
+to find it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -34,23 +40,17 @@ MAX_PROBE_MONOMIALS = 100_000
 class EigenDecomposition:
     element_index: int
     expression: FractionalExpression
-    basis: linalg.Matrix  # eigenvector columns by exponent, over Q(zeta_lcm(N, r))
+    # eigenvector columns over Q(zeta_lcm(N, r)), aligned with the
+    # (ascending) expression.exponents
+    basis: linalg.Matrix
     basis_inverse: linalg.Matrix
-    exponents: tuple[int, ...]  # aligned with the basis columns
-    blocks: list[list[int]]  # column indices grouped by equal weight
-    filtration: list[list[int]]  # nested index sets by increasing weight
 
 
 @dataclass
 class MonomialValuation:
     weights: tuple[int, ...]  # primitive, in the eigenbasis order
     source_index: int
-    ramification_degree: int
     decomposition: EigenDecomposition
-    # B^-1 g B for every element g of the group, B the eigenbasis; filled
-    # on first use by stab_group or ram_group
-    eigenbasis_images: list[linalg.Matrix] | None = dataclasses.field(
-        default=None, repr=False, compare=False)
 
 
 def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
@@ -97,18 +97,7 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
                     f"eigenvector verification failed for element "
                     f"{group.describe(index)}"
                 )
-    weights = _primitivize(exps)
-    blocks = []
-    filtration = []
-    seen: list[int] = []
-    for b in sorted(set(weights)):
-        block = [j for j, w in enumerate(weights) if w == b]
-        blocks.append(block)
-        seen = seen + block
-        filtration.append(list(seen))
-    return EigenDecomposition(
-        index, expr, basis, basis_inverse, tuple(exps), blocks, filtration
-    )
+    return EigenDecomposition(index, expr, basis, basis_inverse)
 
 
 def _primitivize(exponents) -> tuple[int, ...]:
@@ -124,45 +113,21 @@ def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     """The monomial valuation attached to a group element through its
     eigenvalue exponents, primitivized to a lattice-primitive weighting."""
     decomposition = eigen_decompose(group, index)
-    weights = _primitivize(decomposition.exponents)
-    return MonomialValuation(
-        weights, index, group.elements[index].order, decomposition
-    )
-
-
-def _eigenbasis_images(group: MatrixGroup, v: MonomialValuation) -> list[linalg.Matrix]:
-    """Every element conjugated into the eigenbasis of `v`, computed once
-    per valuation."""
-    if v.eigenbasis_images is None:
-        d = v.decomposition
-        field = d.basis[0][0].field
-        times_basis = linalg.RightMultiplier(d.basis)
-        v.eigenbasis_images = [
-            linalg.mat_mul(d.basis_inverse,
-                           times_basis(linalg.mat_embed(element.entries, field)))
-            for element in group.elements
-        ]
-    return v.eigenbasis_images
+    weights = _primitivize(decomposition.expression.exponents)
+    return MonomialValuation(weights, index, decomposition)
 
 
 def _stabilizer_members(group: MatrixGroup, v: MonomialValuation) -> list[int]:
-    """Indices of the elements block diagonal in the eigenbasis of `v`."""
-    weights = v.weights
-    n = group.dimension
-    return [
-        h for h, m in enumerate(_eigenbasis_images(group, v))
-        if all(
-            not m[i][j]
-            for i in range(n)
-            for j in range(n)
-            if weights[i] != weights[j]
-        )
-    ]
+    """Indices of the elements commuting with the source element of `v`."""
+    g = v.source_index
+    return [h for h in range(len(group)) if group.mul(h, g) == group.mul(g, h)]
 
 
 def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
-    """Elements preserving the equal-weight eigenspace decomposition,
-    i.e. block diagonal in the eigenbasis; verified to form a subgroup.
+    """Elements preserving the equal-weight eigenspace decomposition of the
+    source element g of `v`.  These blocks are the eigenspaces of g, so the
+    stabilizer is the centralizer C_G(g), found from the multiplication
+    table; it is verified to form a subgroup.
 
     The check builds generators T greedily, each member not yet in <T>
     joining T, and closes <T> under right multiplication by T; every
@@ -206,15 +171,32 @@ class RamificationGroup:
 
 def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
     """The cyclic subgroup acting as diag(eps^{b_1},...,eps^{b_n}) in the
-    eigenbasis; raises if the computed set fails to be cyclic."""
+    eigenbasis; raises if the computed set fails to be cyclic.
+
+    It lies in the stabilizer, so only the stabilizer's members are
+    conjugated into the eigenbasis.  Each of them commutes with the source
+    element and must come out block diagonal; one that does not is an
+    internal error naming both elements."""
     weights = v.weights
     n = group.dimension
-    field = v.decomposition.basis[0][0].field
+    d = v.decomposition
+    field = d.basis[0][0].field
     one = field.one()
+    times_basis = linalg.RightMultiplier(d.basis)
+    what = (f"stabilizer of the valuation of element "
+            f"{group.describe(v.source_index)}")
     members = []
     # Bezout combination picking out eps from the diagonal entries
     nonzero = [i for i in range(n) if weights[i]]
-    for h, m in enumerate(_eigenbasis_images(group, v)):
+    for h in _stabilizer_members(group, v):
+        m = linalg.mat_mul(d.basis_inverse, times_basis(
+            linalg.mat_embed(group.elements[h].entries, field)))
+        if any(m[i][j] for i in range(n) for j in range(n)
+               if weights[i] != weights[j]):
+            raise InternalInvariantError(
+                f"{what} contains {group.describe(h)}, which is not block "
+                f"diagonal in the valuation's eigenbasis"
+            )
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
             continue
         diag = [m[i][i] for i in range(n)]

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mckay import linalg, toric, valuation
+from mckay import cli, linalg, toric, valuation
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
 from mckay.valuation import MAX_PROBE_MONOMIALS
@@ -204,6 +204,25 @@ def test_ram_rejects_identity_and_bad_id(capsys):
     assert code == 3
     code, _, err = run(capsys, "ram", str(group_path("bd8")), "--class", "99")
     assert code == 3
+
+
+def test_parser_is_built_once_and_survives_a_rejected_argv(
+        capsys, monkeypatch):
+    # main keeps one parser per process: a call that argparse rejects, or
+    # one that sets an option, must not change what a later call parses
+    built, real_build = [], cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real_build())
+    argv = ["ram", "--class", "1", str(group_path("cyclic_7_124"))]
+    code, recorded, _ = run(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit):
+        main(["ram", "--class", "one", str(group_path("cyclic_7_124"))])
+    capsys.readouterr()
+    assert run(capsys, *argv, "--probe", "3")[1] != recorded
+    assert run(capsys, *argv) == (0, recorded, "")
+    assert built == [1]
 
 
 def test_ram_probe_cap(capsys):

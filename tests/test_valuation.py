@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from mckay import linalg
+from mckay import linalg, valuation
+from mckay.cli import main
 from mckay.errors import RequirementError
+from mckay.groupfile import parse_group_file
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 from mckay.age import eigen_exponents
@@ -20,7 +23,8 @@ from mckay.valuation import (
     valuation_fingerprint,
 )
 
-from conftest import closed_group
+from conftest import CORPUS, closed_group, group_path
+from test_toric import diagonal_specs
 
 
 def _diag_group(n, generators):
@@ -32,7 +36,7 @@ def test_eigen_decompose_bd8_b():
     group = closed_group("bd8")
     b = group.generator_indices[1]
     dec = eigen_decompose(group, b)
-    assert dec.exponents == (1, 3)
+    assert dec.expression.exponents == (1, 3)
     assert dec.expression.r == 4
     # inverse really inverts the basis
     product = linalg.mat_mul(dec.basis_inverse, dec.basis)
@@ -44,9 +48,7 @@ def test_eigen_decompose_permutation():
     t = group.generator_indices[1]
     assert group.elements[t].order == 3
     dec = eigen_decompose(group, t)
-    assert dec.exponents == (0, 1, 2)
-    assert dec.blocks == [[0], [1], [2]]
-    assert dec.filtration == [[0], [0, 1], [0, 1, 2]]
+    assert dec.expression.exponents == (0, 1, 2)
 
 
 def test_monomial_valuation_primitivizes():
@@ -95,37 +97,95 @@ def test_stab_and_ram_for_unequal_weights():
     assert set(ram.members) == group.cyclic_subgroup(g)
 
 
+def _corpus_group(name, choice):
+    gf = parse_group_file(group_path(name))
+    return (gf.inverted() if choice == "inverse" else gf).close()
+
+
+def _block_diagonal_members(group, v):
+    """Reference stabilizer: every element conjugated into the eigenbasis
+    of `v`, kept when it is block diagonal with respect to equal weights."""
+    d = v.decomposition
+    field = d.basis[0][0].field
+    n = group.dimension
+    members = []
+    for h, element in enumerate(group.elements):
+        m = linalg.mat_mul(d.basis_inverse, linalg.mat_mul(
+            linalg.mat_embed(element.entries, field), d.basis))
+        if all(not m[i][j] for i in range(n) for j in range(n)
+               if v.weights[i] != v.weights[j]):
+            members.append(h)
+    return members
+
+
+def _assert_stab_is_block_diagonal_scan(group):
+    for cls in group.classes:
+        if cls.representative != 0:
+            v = monomial_valuation(group, cls.representative)
+            assert stab_group(group, v) == _block_diagonal_members(group, v)
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_stab_equals_block_diagonal_scan_on_corpus(name, choice):
+    _assert_stab_is_block_diagonal_scan(_corpus_group(name, choice))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=diagonal_specs(max_index=24, max_order=8))
+def test_stab_equals_block_diagonal_scan_on_diagonal_groups(spec):
+    _assert_stab_is_block_diagonal_scan(close_group(spec.matrices()))
+
+
+def test_ram_member_outside_the_block_structure_is_an_internal_error(
+        capsys, monkeypatch):
+    # <B> is a subgroup, so stab_group accepts it, but B does not commute
+    # with the class-1 representative A: exit 5, both elements named
+    group = closed_group("bd8")
+    b = group.generator_indices[1]
+    monkeypatch.setattr(valuation, "_stabilizer_members",
+                        lambda group, v: sorted(group.cyclic_subgroup(b)))
+    code = main(["ram", "--class", "1", str(group_path("bd8"))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert captured.err == (
+        "internal error: stabilizer of the valuation of element A (order 4) "
+        "contains B (order 4), which is not block diagonal in the "
+        "valuation's eigenbasis\n")
+
+
 def test_ram_is_subgroup_of_stab():
-    for name in ("bd8", "bd12", "trihedral27", "cyclic_7_124"):
-        group = closed_group(name)
-        for cls in group.classes:
-            rep = cls.representative
-            if rep == 0:
-                continue
-            v = monomial_valuation(group, rep)
-            stab = set(stab_group(group, v))
-            ram = ram_group(group, v)
-            assert set(ram.members) <= stab
-            assert 0 in stab
-            # Ram is normal in Stab
-            ram_set = set(ram.members)
-            for h in stab:
-                for m in ram.members:
-                    conj = group.mul(group.mul(h, m), group.inv(h))
-                    assert conj in ram_set
+    for name in CORPUS:
+        for choice in ("standard", "inverse"):
+            group = _corpus_group(name, choice)
+            for cls in group.classes:
+                rep = cls.representative
+                if rep == 0:
+                    continue
+                v = monomial_valuation(group, rep)
+                stab = set(stab_group(group, v))
+                ram = ram_group(group, v)
+                assert set(ram.members) <= stab
+                assert 0 in stab
+                # Ram is normal in Stab
+                ram_set = set(ram.members)
+                for h in stab:
+                    for m in ram.members:
+                        conj = group.mul(group.mul(h, m), group.inv(h))
+                        assert conj in ram_set
 
 
 def monomial_valuation_from_weights(group, weights):
     """A monomial valuation in the standard coordinates, for weightings not
-    tied to a group element (the eigenbasis is the identity)."""
+    tied to a group element (the eigenbasis is the identity).  Its source
+    element is the identity, whose centralizer is the whole group: the
+    stabilizer only for a weighting with all weights equal."""
     if len(weights) != group.dimension or any(w < 0 for w in weights):
         raise RequirementError("weights must be nonnegative of length n")
     weights = _primitivize(weights)
     ident = linalg.identity(group.field, group.dimension)
-    decomposition = EigenDecomposition(
-        0, eigen_exponents(group, 0), ident, ident, weights, [], []
-    )
-    return MonomialValuation(weights, 0, 1, decomposition)
+    decomposition = EigenDecomposition(0, eigen_exponents(group, 0), ident, ident)
+    return MonomialValuation(weights, 0, decomposition)
 
 
 def test_valuation_from_weights():
