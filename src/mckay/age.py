@@ -156,15 +156,14 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     return GradedClassTable(group, gradings, buckets, gamma1_zero)
 
 
-def inverse_bijection(group: MatrixGroup, table: GradedClassTable | None = None) -> dict[int, int]:
+def inverse_bijection(table: GradedClassTable) -> dict[int, int]:
     """The class-level map g -> g^{-1} from junior-with-isolated-fixed-point
     classes onto the age-2 classes (n = 3 only); verified bijective."""
+    group = table.group
     if group.dimension != 3:
         raise RequirementError(
             f"inverse bijection requires dimension 3, got {group.dimension}"
         )
-    if table is None:
-        table = grade(group)
     mapping = {}
     for class_id in table.gamma1_zero:
         rep = group.classes[class_id].representative
@@ -190,15 +189,14 @@ class BettiPrediction:
         return self.h0 + self.h2 + self.h4
 
 
-def betti_prediction(group: MatrixGroup, table: GradedClassTable | None = None) -> BettiPrediction:
+def betti_prediction(table: GradedClassTable) -> BettiPrediction:
     """Predicted Betti numbers of a crepant resolution of C^3/G:
     h2 = number of junior classes, h4 = number of age-2 classes."""
+    group = table.group
     if group.dimension != 3:
         raise RequirementError(
             f"betti prediction requires dimension 3, got {group.dimension}"
         )
-    if table is None:
-        table = grade(group)
     h2 = len(table.buckets.get(1, []))
     h4 = len(table.buckets.get(2, []))
     if h4 != len(table.gamma1_zero):
@@ -211,15 +209,14 @@ def betti_prediction(group: MatrixGroup, table: GradedClassTable | None = None) 
     return prediction
 
 
-def fix_junior_check(group: MatrixGroup, table: GradedClassTable | None = None) -> bool:
+def fix_junior_check(table: GradedClassTable) -> bool:
     """True iff every nonidentity element with a positive-dimensional fixed
     space is junior; guaranteed for subgroups of SL(3, C)."""
+    group = table.group
     if group.dimension != 3:
         raise RequirementError(
             f"fix-junior check requires dimension 3, got {group.dimension}"
         )
-    if table is None:
-        table = grade(group)
     for grading in table.classes:
         if grading.age == 0:
             continue

@@ -102,8 +102,8 @@ def cmd_betti(args) -> str:
             f"betti requires dimension 3, got {group.dimension}"
         )
     table = age_mod.grade(group)
-    prediction = age_mod.betti_prediction(group, table)
-    pairing = age_mod.inverse_bijection(group, table)
+    prediction = age_mod.betti_prediction(table)
+    pairing = age_mod.inverse_bijection(table)
     label = lambda k: group.element_name(group.classes[k].representative)
     return _report(_group_block(group), {
         "h0": prediction.h0,
@@ -115,7 +115,7 @@ def cmd_betti(args) -> str:
         "gamma1_zero_to_gamma2": {
             label(k): label(v) for k, v in sorted(pairing.items())
         },
-        "fix_junior_check": age_mod.fix_junior_check(group, table),
+        "fix_junior_check": age_mod.fix_junior_check(table),
     })
 
 

@@ -82,8 +82,16 @@ def _tokens(text: str):
 
 
 def parse_group_file(path) -> GroupFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_group_text(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise GroupFileError(
+            f"invalid UTF-8 byte 0x{data[err.start]:02x} at byte offset "
+            f"{err.start}", data.count(b"\n", 0, err.start) + 1
+        ) from None
+    return parse_group_text(text)
 
 
 def parse_group_text(text: str) -> GroupFile:

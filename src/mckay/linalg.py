@@ -90,10 +90,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return RightMultiplier(b)(a)
 
 
-def mat_vec(a: Matrix, v: tuple[CycNum, ...]) -> tuple[CycNum, ...]:
-    return tuple(x for (x,) in mat_mul(a, tuple((x,) for x in v)))
-
-
 def trace(a: Matrix) -> CycNum:
     return sum((a[i][i] for i in range(len(a))), a[0][0].field.zero())
 

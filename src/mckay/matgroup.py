@@ -129,10 +129,6 @@ class MatrixGroup:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def order(self):
-        return len(self.elements)
-
     def mul(self, i: int, j: int) -> int:
         # elements[j] is the product of the generators in its word
         for k in self.elements[j].word:

@@ -89,7 +89,6 @@ class OverLattice:
     """
 
     def __init__(self, spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP):
-        self.spec = spec
         self.n = spec.n
         self.is_sl = spec.is_sl
         d = lcm(1, *(r for r, _ in spec.generators))

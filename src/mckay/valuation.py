@@ -14,6 +14,14 @@ table without field arithmetic.  The ramification group is the subset of
 the stabilizer acting as diag(eps^{b_1},...,eps^{b_n}) for a single root of
 unity eps; only the stabilizer's members are conjugated into the eigenbasis
 to find it.
+
+Since gcd(b) = 1, a diagonal d is such a diag(eps^b) iff
+d_i^{b_j} = d_j^{b_i} for every pair i < j: both sides are eps^{b_i b_j},
+and conversely integers x with sum x_j b_j = 1 give eps = prod d_j^{x_j}
+with eps^{b_i} = prod (d_j^{b_i})^{x_j} = prod (d_i^{b_j})^{x_j} = d_i.
+Without primitivity the converse fails: (1, -1) passes the pairs for
+b = (2, 2) but is no (eps^2, eps^2).  A zero weight b_i forces
+d_i^{b_j} = 1 for all j, hence d_i = 1, with no special case.
 """
 
 from __future__ import annotations
@@ -88,22 +96,19 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
     basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
     basis_inverse = linalg.mat_inv(basis)
     # sanity: g * v = eigval * v for each column
+    image = linalg.mat_mul(entries, basis)
     for j, a in enumerate(exps):
         eigval = field.zeta(step * a)
-        image = linalg.mat_vec(entries, tuple(col[j] for col in basis))
-        for i in range(n):
-            if image[i] != eigval * basis[i][j]:
-                raise InternalInvariantError(
-                    f"eigenvector verification failed for element "
-                    f"{group.describe(index)}"
-                )
+        if any(image[i][j] != eigval * basis[i][j] for i in range(n)):
+            raise InternalInvariantError(
+                f"eigenvector verification failed for element "
+                f"{group.describe(index)}"
+            )
     return EigenDecomposition(index, expr, basis, basis_inverse)
 
 
 def _primitivize(exponents) -> tuple[int, ...]:
-    g = 0
-    for a in exponents:
-        g = gcd(g, a)
+    g = gcd(*exponents)
     if g == 0:
         raise RequirementError("zero weight vector is not a valuation")
     return tuple(a // g for a in exponents)
@@ -176,18 +181,19 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
     It lies in the stabilizer, so only the stabilizer's members are
     conjugated into the eigenbasis.  Each of them commutes with the source
     element and must come out block diagonal; one that does not is an
-    internal error naming both elements."""
+    internal error naming both elements.  A diagonal d is kept when
+    d_i^{b_j} = d_j^{b_i} for every pair i < j, which characterizes
+    diag(eps^b) only because the weights b are primitive."""
     weights = v.weights
+    if gcd(*weights) != 1:
+        raise InternalInvariantError("weight vector is not primitive")
     n = group.dimension
     d = v.decomposition
     field = d.basis[0][0].field
-    one = field.one()
     times_basis = linalg.RightMultiplier(d.basis)
     what = (f"stabilizer of the valuation of element "
             f"{group.describe(v.source_index)}")
     members = []
-    # Bezout combination picking out eps from the diagonal entries
-    nonzero = [i for i in range(n) if weights[i]]
     for h in _stabilizer_members(group, v):
         m = linalg.mat_mul(d.basis_inverse, times_basis(
             linalg.mat_embed(group.elements[h].entries, field)))
@@ -199,11 +205,8 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
             )
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
             continue
-        diag = [m[i][i] for i in range(n)]
-        if any(diag[i] != one for i in range(n) if weights[i] == 0):
-            continue
-        eps = _bezout_root(diag, weights, nonzero, field)
-        if all(diag[i] == eps ** weights[i] for i in nonzero):
+        if all(m[i][i] ** weights[j] == m[j][j] ** weights[i]
+               for i in range(n) for j in range(i + 1, n)):
             members.append(h)
     ram = sorted(members)
     generator = next(
@@ -215,38 +218,6 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
             f"{group.describe(v.source_index)} is not cyclic"
         )
     return RamificationGroup(ram, generator, len(ram))
-
-
-def _bezout_root(diag, weights, nonzero, field):
-    # find integers x_i with sum x_i * b_i = 1 over the nonzero weights
-    coeffs = {}
-    g, acc = 0, {}
-    for i in nonzero:
-        if g == 0:
-            g, coeffs = weights[i], {i: 1}
-        else:
-            new_g, x, y = _ext_gcd(g, weights[i])
-            coeffs = {k: v * x for k, v in coeffs.items()}
-            coeffs[i] = coeffs.get(i, 0) + y
-            g = new_g
-    if g != 1:  # weights are primitive, so this cannot happen
-        raise InternalInvariantError("weight vector is not primitive")
-    eps = field.one()
-    for i, x in coeffs.items():
-        eps = eps * (diag[i] ** x if x >= 0 else diag[i].inverse() ** (-x))
-    return eps
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def quotient_discrepancy(a_f, r: int) -> Fraction:

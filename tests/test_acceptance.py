@@ -61,7 +61,7 @@ def test_criterion_1_trihedral():
             [FractionalExpression(3, (2, 2, 2))]
         assert [table.classes[k].expression for k in table.gamma1_zero] == \
             [FractionalExpression(3, (1, 1, 1))]
-        prediction = betti_prediction(group, table)
+        prediction = betti_prediction(table)
         assert (prediction.h0, prediction.h2, prediction.h4) == (1, 9, 1)
         assert prediction.euler == 11
 
@@ -74,7 +74,7 @@ def test_criterion_2_icosahedral():
         assert sorted(c.age for c in table.classes) == [0, 1, 1, 1, 1]
         assert len(table.junior_classes()) == 4
         assert table.buckets.get(2, []) == []
-        assert betti_prediction(group, table).euler == 5
+        assert betti_prediction(table).euler == 5
 
 
 def test_criterion_3_ade_folds():
@@ -220,6 +220,6 @@ def test_criterion_9_property_invariants():
                 for grading in table.classes:
                     if grading.age != 0 and grading.expression.fix_dim > 0:
                         assert grading.age == 1
-                mapping = inverse_bijection(closed_group(name), table)
+                mapping = inverse_bijection(table)
                 assert len(mapping) == len(table.buckets.get(2, []))
                 assert len(mapping) == len(table.gamma1_zero)

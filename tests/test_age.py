@@ -120,8 +120,7 @@ def test_trihedral_grading():
 
 
 def test_trihedral_betti():
-    group = closed_group("trihedral27")
-    prediction = betti_prediction(group, graded_table("trihedral27"))
+    prediction = betti_prediction(graded_table("trihedral27"))
     assert (prediction.h0, prediction.h2, prediction.h4) == (1, 9, 1)
     assert prediction.euler == 11
 
@@ -130,8 +129,7 @@ def test_icosahedral_grading():
     table = graded_table("icosahedral60")
     ages = sorted(c.age for c in table.classes)
     assert ages == [0, 1, 1, 1, 1]
-    group = closed_group("icosahedral60")
-    prediction = betti_prediction(group, table)
+    prediction = betti_prediction(table)
     assert (prediction.h0, prediction.h2, prediction.h4) == (1, 4, 0)
     assert prediction.euler == 5
     assert table.gamma1_zero == []
@@ -147,7 +145,7 @@ def test_sl2_nonidentity_is_junior():
 def test_inverse_bijection_cyclic7():
     group = closed_group("cyclic_7_124")
     table = graded_table("cyclic_7_124")
-    mapping = inverse_bijection(group, table)
+    mapping = inverse_bijection(table)
     assert len(mapping) == 3
     assert sorted(mapping.values()) == sorted(table.buckets[2])
     # the map is induced by g -> g^-1
@@ -174,13 +172,12 @@ def test_inverse_duality_of_expressions():
 
 def test_fix_junior_check_corpus():
     for name in ("trihedral27", "icosahedral60", "cyclic_7_124"):
-        group = closed_group(name)
-        assert fix_junior_check(group, graded_table(name))
+        assert fix_junior_check(graded_table(name))
 
 
 def test_betti_requires_dimension3():
     with pytest.raises(RequirementError):
-        betti_prediction(closed_group("bd8"))
+        betti_prediction(graded_table("bd8"))
 
 
 def test_elementary_symmetric_exponents():

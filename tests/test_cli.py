@@ -5,13 +5,15 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mckay import cli, linalg, toric, valuation
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
 from mckay.valuation import MAX_PROBE_MONOMIALS
 
-from conftest import group_path
+from conftest import CORPUS, group_path
 
 
 def run(capsys, *argv):
@@ -302,6 +304,44 @@ def test_parse_error_reports_position(capsys, tmp_path):
     code, out, err = run(capsys, "info", str(bad))
     assert code == 2
     assert err == "error: line 6, col 6: zero denominator\n"
+
+
+def test_invalid_utf8_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(b"format diagonal\ndimension 3\ngenerator 7 : 1 2 \xff4\n")
+    code, out, err = run(capsys, "info", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: invalid UTF-8 byte 0xff at byte offset 46\n"
+
+
+# bytes of the file grammar keep many mutants parseable; any byte may occur
+_byte_edits = st.lists(st.tuples(
+    st.sampled_from(("insert", "delete", "replace")),
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(st.sampled_from(b"0123456789 ,-+*^/z:\n"), st.integers(0, 255)),
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(CORPUS), edits=_byte_edits)
+def test_mutated_group_files_exit_cleanly(capsys, tmp_path, name, edits):
+    # byte-level mutants of the corpus finish with a documented exit code;
+    # the small cap stops the closure of a mutant that is infinite
+    data = bytearray(group_path(name).read_bytes())
+    for kind, where, byte in edits:
+        at = int(where * len(data))
+        if kind == "insert":
+            data.insert(at, byte)
+        elif kind == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    path = tmp_path / "mutant.grp"
+    path.write_bytes(bytes(data))
+    for command in (["info"], ["toric", "box"], ["toric", "check"]):
+        code, _, _ = run(capsys, *command, str(path), "--max-order", "200")
+        assert code in (0, 2, 3, 4)
 
 
 def test_max_order_cap(capsys):

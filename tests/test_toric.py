@@ -469,7 +469,7 @@ def test_box_ages_match_matrix_grading(text):
     })
     assert len(table.junior_classes()) == crepant_divisor_count(lat)
     if lat.n == 3:
-        betti = betti_prediction(group, table)
+        betti = betti_prediction(table)
         assert (betti.h2, betti.h4) == (box_ages[1], box_ages[2])
 
 

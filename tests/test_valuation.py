@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckay import linalg, valuation
 from mckay.cli import main
+from mckay.cyclo import CycNum, cyclotomic_field
 from mckay.errors import RequirementError
 from mckay.groupfile import parse_group_file
 from mckay.matgroup import close_group
@@ -102,20 +104,22 @@ def _corpus_group(name, choice):
     return (gf.inverted() if choice == "inverse" else gf).close()
 
 
+def _in_eigenbasis(group, v):
+    """(h, the matrix of h in the eigenbasis of `v`) for every element h."""
+    d = v.decomposition
+    field = d.basis[0][0].field
+    for h, element in enumerate(group.elements):
+        yield h, linalg.mat_mul(d.basis_inverse, linalg.mat_mul(
+            linalg.mat_embed(element.entries, field), d.basis))
+
+
 def _block_diagonal_members(group, v):
     """Reference stabilizer: every element conjugated into the eigenbasis
     of `v`, kept when it is block diagonal with respect to equal weights."""
-    d = v.decomposition
-    field = d.basis[0][0].field
     n = group.dimension
-    members = []
-    for h, element in enumerate(group.elements):
-        m = linalg.mat_mul(d.basis_inverse, linalg.mat_mul(
-            linalg.mat_embed(element.entries, field), d.basis))
-        if all(not m[i][j] for i in range(n) for j in range(n)
-               if v.weights[i] != v.weights[j]):
-            members.append(h)
-    return members
+    return [h for h, m in _in_eigenbasis(group, v)
+            if all(not m[i][j] for i in range(n) for j in range(n)
+                   if v.weights[i] != v.weights[j])]
 
 
 def _assert_stab_is_block_diagonal_scan(group):
@@ -173,6 +177,125 @@ def test_ram_is_subgroup_of_stab():
                     for m in ram.members:
                         conj = group.mul(group.mul(h, m), group.inv(h))
                         assert conj in ram_set
+
+
+def _ext_gcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _bezout_root(diag, weights):
+    """eps = prod d_i^{x_i} for integers x with sum x_i * b_i = 1 over the
+    nonzero weights b_i."""
+    coeffs, g = {}, 0
+    for i, w in enumerate(weights):
+        if not w:
+            continue
+        if g == 0:
+            g, coeffs = w, {i: 1}
+        else:
+            g, x, y = _ext_gcd(g, w)
+            coeffs = {k: c * x for k, c in coeffs.items()}
+            coeffs[i] = coeffs.get(i, 0) + y
+    assert g == 1
+    eps = diag[0].field.one()
+    for i, x in coeffs.items():
+        eps = eps * (diag[i] ** x if x >= 0 else diag[i].inverse() ** (-x))
+    return eps
+
+
+def _is_eps_power(diag, weights):
+    """Reference test for diag = (eps^{b_1}, ..., eps^{b_n}): the entries at
+    zero weights are 1 and the Bezout root eps reproduces the others."""
+    one = diag[0].field.one()
+    if any(d != one for d, w in zip(diag, weights) if w == 0):
+        return False
+    eps = _bezout_root(diag, weights)
+    return all(d == eps ** w for d, w in zip(diag, weights) if w)
+
+
+def _bezout_ram_members(group, v):
+    """Reference ramification group: every element conjugated into the
+    eigenbasis of `v`, kept when it is diag(eps^b) by the Bezout root."""
+    n = group.dimension
+    return [h for h, m in _in_eigenbasis(group, v)
+            if all(not m[i][j] for i in range(n) for j in range(n) if i != j)
+            and _is_eps_power([m[i][i] for i in range(n)], v.weights)]
+
+
+def _corpus_valuations(name, choice):
+    group = _corpus_group(name, choice)
+    for cls in group.classes:
+        if cls.representative != 0:
+            yield group, monomial_valuation(group, cls.representative)
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_ram_equals_bezout_oracle_on_corpus(name, choice):
+    for group, v in _corpus_valuations(name, choice):
+        assert ram_group(group, v).members == _bezout_ram_members(group, v)
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_ram_makes_no_field_inversion(name, choice, monkeypatch):
+    def refuse(self):
+        raise AssertionError("ram_group inverted a field element")
+
+    for group, v in _corpus_valuations(name, choice):
+        with monkeypatch.context() as patch:
+            patch.setattr(CycNum, "inverse", refuse)
+            ram_group(group, v)
+
+
+@st.composite
+def _diagonals_and_weights(draw):
+    """(diag, weights): primitive nonnegative weights, zeros allowed, and a
+    diagonal of entries +-zeta_M^k; half of the diagonals are eps^b, some of
+    those with one entry then changed."""
+    field = cyclotomic_field(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12))))
+    n = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)
+               .filter(any))
+    weights = _primitivize(raw)
+
+    def root():
+        sign = draw(st.sampled_from((1, -1)))
+        return field.zeta(draw(st.integers(0, field.order - 1))) * sign
+
+    if draw(st.booleans()):
+        eps = root()
+        diag = [eps ** w for w in weights]
+        if draw(st.booleans()):
+            diag[draw(st.integers(0, n - 1))] = root()
+    else:
+        diag = [root() for _ in range(n)]
+    return diag, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagonals_and_weights())
+def test_pairwise_criterion_equals_bezout_oracle(case):
+    # Ram of the cyclic group <d> for the weights b, in the standard basis:
+    # every power of d is kept exactly when its Bezout root reproduces it
+    diag, weights = case
+    field, n = diag[0].field, len(diag)
+    matrix = tuple(tuple(diag[i] if i == j else field.zero() for j in range(n))
+                   for i in range(n))
+    group = close_group([matrix])
+    v = monomial_valuation_from_weights(group, weights)
+    members = set(ram_group(group, v).members)
+    for h, element in enumerate(group.elements):
+        entries = [element.entries[i][i] for i in range(n)]
+        assert (h in members) == _is_eps_power(entries, weights)
 
 
 def monomial_valuation_from_weights(group, weights):
