@@ -141,11 +141,13 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     for k, cls in enumerate(group.classes):
         expr = eigen_exponents(group, cls.representative)
         expected = power_traces(cls.representative)
-        if any(power_traces(member) != expected
-               for member in cls.members if member != cls.representative):
-            raise InternalInvariantError(
-                f"conjugacy class {k} is not age-constant"
-            )
+        for member in cls.members:
+            if member != cls.representative and power_traces(member) != expected:
+                raise InternalInvariantError(
+                    f"conjugacy class {k} is not age-constant: its member "
+                    f"{group.describe(member)} differs from its representative "
+                    f"{group.describe(cls.representative)}"
+                )
         grading = ClassGrading(k, cls.representative, len(cls.members), expr, expr.age)
         gradings.append(grading)
         buckets.setdefault(expr.age, []).append(k)
@@ -154,6 +156,23 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     if buckets.get(0) != [group.class_of[0]] or gradings[group.class_of[0]].size != 1:
         raise InternalInvariantError("age-0 stratum is not exactly the identity class")
     return GradedClassTable(group, gradings, buckets, gamma1_zero)
+
+
+def _unpaired_class(table: GradedClassTable) -> str:
+    """Names the first class, junior with an isolated fixed point or of age
+    2, whose inverse class is not on the other side: where g -> g^-1 fails
+    to pair the two sets.  For error messages."""
+    group = table.group
+    junior0, age2 = set(table.gamma1_zero), set(table.buckets.get(2, []))
+    for k in sorted(junior0 | age2):
+        rep = group.classes[k].representative
+        j = group.class_of[group.inv(rep)]
+        if j not in (age2 if k in junior0 else junior0):
+            return (f"the class of {group.describe(rep)}, of age "
+                    f"{table.classes[k].age}, inverts into the class of "
+                    f"{group.describe(group.classes[j].representative)}, "
+                    f"of age {table.classes[j].age}")
+    return "every class pairs with its inverse class"
 
 
 def inverse_bijection(table: GradedClassTable) -> dict[int, int]:
@@ -168,12 +187,10 @@ def inverse_bijection(table: GradedClassTable) -> dict[int, int]:
     for class_id in table.gamma1_zero:
         rep = group.classes[class_id].representative
         mapping[class_id] = group.class_of[group.inv(rep)]
-    targets = sorted(mapping.values())
-    age2 = sorted(table.buckets.get(2, []))
-    if targets != age2:
+    if sorted(mapping.values()) != sorted(table.buckets.get(2, [])):
         raise InternalInvariantError(
             "g -> g^-1 does not map junior isolated-fixed-point classes "
-            "bijectively onto the age-2 classes"
+            f"bijectively onto the age-2 classes: {_unpaired_class(table)}"
         )
     return mapping
 
@@ -201,11 +218,19 @@ def betti_prediction(table: GradedClassTable) -> BettiPrediction:
     h4 = len(table.buckets.get(2, []))
     if h4 != len(table.gamma1_zero):
         raise InternalInvariantError(
-            "age-2 class count differs from junior isolated-fixed-point count"
+            f"age-2 class count {h4} differs from junior isolated-fixed-point "
+            f"count {len(table.gamma1_zero)}: {_unpaired_class(table)}"
         )
     prediction = BettiPrediction(1, h2, h4)
     if prediction.euler != len(group.classes):
-        raise InternalInvariantError("euler number differs from class count")
+        message = (f"euler number {prediction.euler} differs from class "
+                   f"count {len(group.classes)}")
+        uncounted = next((c for c in table.classes if c.age not in (1, 2)
+                          and c.class_id != group.class_of[0]), None)
+        if uncounted is not None:
+            message += (f": the class of {group.describe(uncounted.representative)}"
+                        f" has age {uncounted.age}")
+        raise InternalInvariantError(message)
     return prediction
 
 

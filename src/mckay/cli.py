@@ -193,7 +193,7 @@ def cmd_ram(args) -> str:
     body = {}
     if gf.format == "diagonal":
         # first, so that a probe degree over the limit is refused at once
-        probe = args.probe if args.probe else group.exponent
+        probe = args.probe if args.probe else valuation.default_probe_degree(group)
         fingerprint = valuation.valuation_fingerprint(group, rep, probe)
         body["probe_degree"] = probe
         body["fingerprint"] = {
@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ram.add_argument("--probe", type=int, default=0,
                        help="probe degree for the invariant-monomial "
                        "fingerprint (diagonal groups; default the group "
-                       "exponent); a degree enumerating more than "
+                       "exponent, lowered to fit the monomial limit); a "
+                       "degree enumerating more than "
                        f"{valuation.MAX_PROBE_MONOMIALS} monomials is exit 4")
     common(p_ram)
     return parser

@@ -5,7 +5,7 @@ in integers: the products x*y of its row and column are put over one
 common denominator, their numerators are convolved into one buffer, the
 buffer is reduced modulo Phi_R once, and one CycNum is built from it.
 `RightMultiplier` keeps the nonzero numerator terms of a fixed right
-factor, so a closure multiplying many matrices by one generator extracts
+factor, so a closure multiplying many rows by one generator extracts
 them once.  Elimination (`det`, `rref`) divides by pivots; entries are
 exact and the sizes this library sees are small (n <= 4).
 """

@@ -44,6 +44,16 @@ from .matgroup import MatrixGroup
 MAX_PROBE_MONOMIALS = 100_000
 
 
+def default_probe_degree(group: MatrixGroup) -> int:
+    """The probe degree `ram` uses when none is given: the group exponent,
+    lowered to the largest degree whose monomials fit MAX_PROBE_MONOMIALS
+    (82 in dimension 3)."""
+    n, degree = group.dimension, group.exponent
+    while degree > 1 and comb(n + degree, n) - 1 > MAX_PROBE_MONOMIALS:
+        degree -= 1
+    return degree
+
+
 @dataclass
 class EigenDecomposition:
     element_index: int

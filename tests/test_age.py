@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -196,5 +198,58 @@ def test_grade_rejects_a_class_that_is_not_age_constant(monkeypatch):
     monkeypatch.setattr(group.classes[k], "members",
                         tuple(sorted((g, group.power(g, 3)))))
     with pytest.raises(InternalInvariantError,
-                       match=f"conjugacy class {k} is not age-constant"):
+                       match=f"conjugacy class {k} is not age-constant") as info:
         grade(group)
+    assert group.describe(group.power(g, 3)) in str(info.value)
+    assert group.describe(group.classes[k].representative) in str(info.value)
+
+
+def _inverse_class(table, k):
+    group = table.group
+    return group.class_of[group.inv(group.classes[k].representative)]
+
+
+def _class_name(table, k):
+    return table.group.describe(table.group.classes[k].representative)
+
+
+@pytest.mark.parametrize("check", [inverse_bijection, betti_prediction])
+def test_unpaired_age2_class_is_named(check):
+    # drop one junior isolated-fixed-point class: the age-2 class of its
+    # inverses is left without a partner, and both checks name it
+    table = graded_table("cyclic_7_124")
+    dropped = table.gamma1_zero[-1]
+    tampered = replace(table, gamma1_zero=table.gamma1_zero[:-1])
+    unpaired = _inverse_class(table, dropped)
+    with pytest.raises(InternalInvariantError,
+                       match=re.escape(f"the class of {_class_name(table, unpaired)}")):
+        check(tampered)
+
+
+def test_junior_class_with_inverse_of_wrong_age_is_named():
+    # declare one age-2 class junior: its inverse class is junior, not age 2
+    table = graded_table("cyclic_7_124")
+    k = table.buckets[2][0]
+    tampered = replace(table, gamma1_zero=sorted([*table.gamma1_zero, k]))
+    with pytest.raises(InternalInvariantError,
+                       match=re.escape(
+                           f"the class of {_class_name(table, k)}, of age 2, inverts "
+                           f"into the class of "
+                           f"{_class_name(table, _inverse_class(table, k))}, of age 1")):
+        inverse_bijection(tampered)
+
+
+def test_euler_mismatch_names_an_uncounted_class():
+    # move one age-2 class to age 3, and its inverse class out of the
+    # junior isolated-fixed-point list, so that only the Euler count fails
+    table = graded_table("cyclic_7_124")
+    k = table.buckets[2][0]
+    classes = [replace(c, age=3) if c.class_id == k else c for c in table.classes]
+    buckets = {**table.buckets, 2: table.buckets[2][1:], 3: [k]}
+    gamma1_zero = [j for j in table.gamma1_zero if j != _inverse_class(table, k)]
+    tampered = replace(table, classes=classes, buckets=buckets,
+                       gamma1_zero=gamma1_zero)
+    with pytest.raises(InternalInvariantError,
+                       match=re.escape(f"euler number 6 differs from class count 7: "
+                                       f"the class of {_class_name(table, k)} has age 3")):
+        betti_prediction(tampered)

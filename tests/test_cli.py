@@ -237,6 +237,15 @@ def test_ram_probe_cap(capsys):
                    f"monomials, over the limit of {MAX_PROBE_MONOMIALS}\n")
 
 
+def test_ram_default_probe_fits_the_monomial_limit(capsys, tmp_path):
+    # the exponent 83 would enumerate 102339 monomials; the default probe
+    # is lowered to 82 (98769 monomials) instead of exiting 4
+    path = tmp_path / "cyclic83.grp"
+    path.write_text("format diagonal\ndimension 3\ngenerator 83 : 1 2 80\n")
+    data = run_json(capsys, "ram", "--class", "1", str(path))
+    assert data["probe_degree"] == 82
+
+
 def test_internal_error_names_the_element(capsys, monkeypatch):
     # a kernel of the wrong dimension is an invariant failure: exit 5, the
     # message names the element being diagonalized, stdout stays empty

@@ -11,7 +11,7 @@ from mckay.age import eigen_exponents, grade
 from mckay.cyclo import cyclotomic_field
 from mckay.errors import ClosureCapError, RequirementError
 from mckay.groupfile import parse_group_file
-from mckay.matgroup import _key, close_group
+from mckay.matgroup import GroupElement, MatrixGroup, close_group
 from mckay.quiver import fold
 from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import monomial_valuation, ram_group, stab_group
@@ -119,6 +119,61 @@ def test_element_names():
     assert group.element_name(group.mul(a, b)) == "A*B"
 
 
+def _key(entries):
+    """Dedup key of a matrix: the normal forms (numerators, denominator) of
+    its entries."""
+    return tuple(tuple((x.nums, x.den) for x in row) for row in entries)
+
+
+def oracle_close_group(generators, cap=100_000):
+    """The closure by whole-matrix products: breadth-first search that
+    multiplies every element by every generator and deduplicates on `_key`."""
+    n = len(generators[0])
+    field = generators[0][0][0].field
+    names = [f"g{i + 1}" for i in range(len(generators))]
+    elements, index_of = [], {}
+
+    def add(entries, word):
+        key = _key(entries)
+        index = index_of.get(key)
+        if index is None:
+            if len(elements) >= cap:
+                raise ClosureCapError(cap)
+            index = len(elements)
+            elements.append(GroupElement(entries, index, word))
+            index_of[key] = index
+        return index
+
+    add(linalg.identity(field, n), ())
+    generator_indices = tuple(add(tuple(tuple(row) for row in g), (k,))
+                              for k, g in enumerate(generators))
+    multipliers = [linalg.RightMultiplier(g) for g in generators]
+    right = [[] for _ in generators]
+    for element in elements:
+        for k, times_g in enumerate(multipliers):
+            right[k].append(add(times_g(element.entries), element.word + (k,)))
+    in_sl = all(linalg.det(g) == 1 for g in generators)
+    return MatrixGroup(n, field, elements, generator_indices, names, right, in_sl)
+
+
+def assert_closure_matches_oracle(generators):
+    group, oracle = close_group(generators), oracle_close_group(generators)
+    assert [e.index for e in group.elements] == list(range(len(oracle)))
+    assert [e.entries for e in group.elements] == [e.entries for e in oracle.elements]
+    assert [e.word for e in group.elements] == [e.word for e in oracle.elements]
+    assert group.generator_indices == oracle.generator_indices
+    assert group._right == oracle._right
+    assert group.in_sl == oracle.in_sl
+    return group
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_closure_matches_matrix_product_oracle_on_corpus(name, choice):
+    gf = parse_group_file(group_path(name))
+    assert_closure_matches_oracle((gf.inverted() if choice == "inverse" else gf).matrices())
+
+
 def reference_structure(group):
     """Products, inverses, orders, conjugacy classes, power lists, cyclic
     subgroups and maximal cyclic subgroups of a closed group, found by brute
@@ -191,8 +246,8 @@ def test_multiplication_table_matches_matrix_products(name):
 
 
 @st.composite
-def diagonal_sl_specs(draw):
-    n = draw(st.integers(2, 3))
+def diagonal_sl_specs(draw, max_n=3):
+    n = draw(st.integers(2, max_n))
     gens = []
     for _ in range(draw(st.integers(1, 2))):
         r = draw(st.integers(2, 5))
@@ -207,6 +262,49 @@ def test_multiplication_table_matches_matrix_products_diagonal(spec):
     group = close_group(spec.matrices())
     assert group.in_sl
     assert_matches_reference(group)
+
+
+@settings(max_examples=25, deadline=None)
+@given(diagonal_sl_specs(max_n=4))
+def test_closure_matches_matrix_product_oracle_on_diagonal_groups(spec):
+    assert assert_closure_matches_oracle(spec.matrices()).in_sl
+
+
+def infinite_group():
+    """<A, C> for the unipotent A = [[1,1,0],[0,1,0],[0,0,1]] and the
+    3-cycle C: an infinite subgroup of SL(3, Z)."""
+    f1 = cyclotomic_field(1)
+    one, zero = f1.one(), f1.zero()
+    a = ((one, one, zero), (zero, one, zero), (zero, zero, one))
+    c = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
+    return [a, c]
+
+
+def test_closure_and_oracle_stop_at_the_cap_on_an_infinite_group():
+    with pytest.raises(ClosureCapError):
+        close_group(infinite_group(), cap=500)
+    with pytest.raises(ClosureCapError):
+        oracle_close_group(infinite_group(), cap=500)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_closure_multiplies_each_distinct_row_once_per_generator(name, monkeypatch):
+    calls = []
+    times_g = linalg.RightMultiplier.__call__
+
+    def counted(self, a):
+        calls.append(len(a))
+        return times_g(self, a)
+
+    gens = parse_group_file(group_path(name)).matrices()
+    monkeypatch.setattr(linalg.RightMultiplier, "__call__", counted)
+    group = close_group(gens)
+    monkeypatch.undo()
+    assert set(calls) == {1}
+    distinct_rows = {row for e in group.elements for row in e.entries}
+    assert len(calls) <= len(distinct_rows) * len(gens)
+    if name == "icosahedral60":
+        assert (len(distinct_rows), len(gens), len(calls)) == (30, 2, 60)
 
 
 def test_group_operations_need_no_field_arithmetic(monkeypatch):
