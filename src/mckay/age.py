@@ -50,10 +50,6 @@ class FractionalExpression:
     def primitive(self) -> bool:
         return gcd(self.r, *self.exponents) == 1
 
-    def inverse(self) -> "FractionalExpression":
-        flipped = tuple(sorted(0 if a == 0 else self.r - a for a in self.exponents))
-        return FractionalExpression(self.r, flipped)
-
     def __str__(self):
         return f"(1/{self.r})({','.join(map(str, self.exponents))})"
 
@@ -111,16 +107,6 @@ class GradedClassTable:
     classes: list[ClassGrading]
     buckets: dict[int, list[int]]  # age -> class ids
     gamma1_zero: list[int]  # junior class ids with fix_dim = 0
-
-    def junior_classes(self) -> list[int]:
-        return self.buckets.get(1, [])
-
-    def senior_classes(self) -> list[int]:
-        out = []
-        for a, ids in sorted(self.buckets.items()):
-            if a >= 2:
-                out.extend(ids)
-        return out
 
 
 def grade(group: MatrixGroup) -> GradedClassTable:

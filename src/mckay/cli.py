@@ -194,7 +194,8 @@ def cmd_ram(args) -> str:
     if gf.format == "diagonal":
         # first, so that a probe degree over the limit is refused at once
         probe = args.probe if args.probe else valuation.default_probe_degree(group)
-        fingerprint = valuation.valuation_fingerprint(group, rep, probe)
+        fingerprint = valuation.valuation_fingerprint(
+            gf.to_spec(), group, rep, probe)
         body["probe_degree"] = probe
         body["fingerprint"] = {
             ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))

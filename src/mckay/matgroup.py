@@ -23,7 +23,7 @@ from collections import Counter
 from math import gcd, lcm
 
 from . import linalg
-from .errors import ClosureCapError, RequirementError
+from .errors import ClosureCapError, InternalInvariantError, RequirementError
 
 DEFAULT_CAP = 100_000
 
@@ -113,6 +113,11 @@ class MatrixGroup:
             walk, acc = [0], x
             while acc:
                 walk.append(acc)
+                if len(walk) > len(elements):
+                    raise InternalInvariantError(
+                        f"the powers of element {self.element_name(x)} do "
+                        f"not reach the identity within {len(elements)} steps"
+                    )
                 acc = self.mul(acc, x)
             walk = tuple(walk)
             self._walks.append(walk)

@@ -55,21 +55,29 @@ class DiagonalGroupSpec:
     def is_sl(self) -> bool:
         return all(sum(exps) % r == 0 for r, exps in self.generators)
 
+    def exponent_vectors(self) -> tuple[int, list[tuple[int, ...]]]:
+        """L = lcm(r_i) and the generators as vectors over L: the
+        generator (1/r)(a_1,...,a_n) is (L/r)(a_1,...,a_n)."""
+        L = lcm(1, *(r for r, _ in self.generators))
+        return L, [tuple(a * (L // r) for a in exps)
+                   for r, exps in self.generators]
+
+    def word_vector(self, word) -> tuple[int, ...]:
+        """The vector over L of the product of the generators indexed by
+        `word`: the sum of theirs, mod L."""
+        L, vectors = self.exponent_vectors()
+        out = (0,) * self.n
+        for k in word:
+            out = tuple((a + b) % L for a, b in zip(out, vectors[k]))
+        return out
+
     def matrices(self):
-        """The generators as diagonal matrices over Q(zeta_d)."""
-        d = lcm(1, *(r for r, _ in self.generators))
-        field = cyclotomic_field(d)
-        mats = []
-        for r, exps in self.generators:
-            step = d // r
-            mats.append(tuple(
-                tuple(
-                    field.zeta(step * exps[i]) if i == j else field.zero()
-                    for j in range(self.n)
-                )
-                for i in range(self.n)
-            ))
-        return mats
+        """The generators as diagonal matrices over Q(zeta_L)."""
+        L, vectors = self.exponent_vectors()
+        field = cyclotomic_field(L)
+        return [tuple(tuple(field.zeta(v[i]) if i == j else field.zero()
+                            for j in range(self.n)) for i in range(self.n))
+                for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,7 @@ class OverLattice:
     def __init__(self, spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP):
         self.n = spec.n
         self.is_sl = spec.is_sl
-        d = lcm(1, *(r for r, _ in spec.generators))
-        steps = [tuple(a * (d // r) for a in exps) for r, exps in spec.generators]
+        d, steps = spec.exponent_vectors()
         # points are sums of steps, so dividing out the steps' common factor
         # with d leaves the lcm of the reduced point denominators
         g = gcd(d, *(a for step in steps for a in step))
@@ -121,15 +128,6 @@ class OverLattice:
                      self._is_primitive(p))
             for p in self.scaled_points
         ]
-
-    def contains(self, point: Point) -> bool:
-        scaled = []
-        for c in map(Fraction, point):
-            q, rem = divmod(c.numerator * self.denominator, c.denominator)
-            if rem:
-                return False
-            scaled.append(q % self.denominator)
-        return tuple(scaled) in self._point_set
 
     def _is_primitive(self, scaled: tuple[int, ...]) -> bool:
         # p/m lies in L only if m divides every entry of P = D*p, and then so
@@ -282,10 +280,6 @@ class JuniorTriangulation:
     vertices: list[Point]  # unit vectors first, then junior points (lex)
     simplices: list[tuple[int, ...]]
     adjacency: list[tuple[int, int]]  # junior vertex pairs sharing an edge
-
-    @property
-    def junior_vertex_ids(self) -> list[int]:
-        return list(range(self.n, len(self.vertices)))
 
 
 def resolve(lattice: OverLattice) -> JuniorTriangulation:

@@ -35,6 +35,7 @@ from .age import FractionalExpression, eigen_exponents
 from .cyclo import cyclotomic_field
 from .errors import InternalInvariantError, ProbeCapError, RequirementError
 from .matgroup import MatrixGroup
+from .toric import DiagonalGroupSpec
 
 # Largest number of monomials a fingerprint enumerates; larger probe degrees
 # are refused before any is generated.  At this limit a whole `ram` command
@@ -237,58 +238,35 @@ def quotient_discrepancy(a_f, r: int) -> Fraction:
     return Fraction(Fraction(a_f) - (r - 1), r)
 
 
-def diagonal_exponents(group: MatrixGroup, index: int) -> tuple[int, ...]:
-    """Exponents e_i with entry_ii = zeta_L^{e_i} for a diagonal element."""
-    element = group.elements[index]
-    n = group.dimension
-    field = group.field
-    if any(element.entries[i][j] for i in range(n) for j in range(n) if i != j):
-        raise RequirementError("element is not diagonal")
-    out = []
-    for i in range(n):
-        entry = element.entries[i][i]
-        for k in range(field.order):
-            if entry == field.zeta(k):
-                out.append(k)
-                break
-        else:
-            raise RequirementError("diagonal entry is not a power of zeta")
-    return tuple(out)
-
-
 def valuation_fingerprint(
-    group: MatrixGroup, index: int, probe_degree: int
+    spec: DiagonalGroupSpec, group: MatrixGroup, index: int, probe_degree: int
 ) -> dict[tuple[int, ...], int]:
     """Values of the restricted valuation v_g on all G-invariant monomials
-    of total degree <= probe_degree (diagonal groups only)."""
+    of total degree <= probe_degree, for `group` closed from `spec`.  Only
+    integers are read: g's exponent vector is the spec's word vector of g,
+    whose order must be the one the closure found."""
     if probe_degree < 1:
         raise RequirementError("probe degree must be >= 1")
-    n = group.dimension
+    n = spec.n
     count = comb(n + probe_degree, n) - 1
     if count > MAX_PROBE_MONOMIALS:
         raise ProbeCapError(probe_degree, n, count, MAX_PROBE_MONOMIALS)
-    L = group.field.order
-    generator_exps = [
-        diagonal_exponents(group, i) for i in group.generator_indices
-    ]
-    g_exps = diagonal_exponents(group, index)
-    r = group.elements[index].order
+    L, generator_exps = spec.exponent_vectors()
+    g_exps = spec.word_vector(group.elements[index].word)
+    r, step = group.elements[index].order, gcd(L, *g_exps)
+    if L // step != r:
+        raise InternalInvariantError(
+            f"exponent vector (1/{L}){g_exps} of element "
+            f"{group.describe(index)} has order {L // step}"
+        )
     # exponents of g as powers of zeta_r
-    step = L // r
-    a = tuple(e // step for e in g_exps)
-    if any(e % step for e in g_exps):
-        raise InternalInvariantError("diagonal exponents inconsistent with order")
-    b = _primitivize(a)
+    b = _primitivize(tuple(e // step for e in g_exps))
     fingerprint = {}
     for m in _monomials(n, probe_degree):
-        if all(
-            sum(mi * ei for mi, ei in zip(m, exps)) % L == 0
-            for exps in generator_exps
-        ):
+        if all(sum(mi * ei for mi, ei in zip(m, exps)) % L == 0
+               for exps in generator_exps):
             value = Fraction(sum(mi * bi for mi, bi in zip(m, b)), r)
-            fingerprint[m] = (
-                value.numerator if value.denominator == 1 else value
-            )
+            fingerprint[m] = value.numerator if value.denominator == 1 else value
     return fingerprint
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mckay import cyclo, linalg
 from mckay.age import eigen_exponents, grade
 from mckay.cyclo import cyclotomic_field
-from mckay.errors import ClosureCapError, RequirementError
+from mckay.errors import ClosureCapError, InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file
 from mckay.matgroup import GroupElement, MatrixGroup, close_group
 from mckay.quiver import fold
@@ -118,6 +118,19 @@ def test_element_names():
     assert group.element_name(group.power(a, 2)) == "A^2"
     assert group.element_name(group.mul(a, b)) == "A*B"
 
+
+
+def test_power_walk_that_misses_the_identity_is_an_internal_error():
+    # a right table that is not a group table: the generator fixes every
+    # element but the identity, so g1, g1^2, ... never returns to e
+    group = close_group(DiagonalGroupSpec(3, ((7, (1, 2, 4)),)).matrices())
+    right = [[row[0]] + list(range(1, len(row))) for row in group._right]
+    with pytest.raises(InternalInvariantError,
+                       match=r"powers of element g1 do not reach the identity "
+                             r"within 7 steps"):
+        MatrixGroup(group.dimension, group.field, group.elements,
+                    group.generator_indices, group.generator_names, right,
+                    group.in_sl)
 
 def _key(entries):
     """Dedup key of a matrix: the normal forms (numerators, denominator) of

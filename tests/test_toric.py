@@ -66,6 +66,14 @@ def frac_point(*nums, den):
     return tuple(Fraction(a, den) for a in nums)
 
 
+def contains(lat, point):
+    """Whether `point` lies in the overlattice: D * point is integral and
+    its residue mod D is one of the scaled box points."""
+    scaled = [Fraction(c) * lat.denominator for c in point]
+    return all(c.denominator == 1 for c in scaled) and tuple(
+        int(c) % lat.denominator for c in scaled) in set(lat.scaled_points)
+
+
 class OracleLattice:
     """The Fraction scan that the integer OverLattice replaced: box points
     as exact rationals, primitivity by trying every m <= denominator."""
@@ -133,7 +141,7 @@ def test_lattice_matches_fraction_oracle(spec):
               for p in points[:8] for q in points[-8:]]
     probes += [tuple(a - b for a, b in zip(p, offset)) for p in points[:8]]
     for probe in probes:
-        assert lat.contains(probe) == oracle.contains(probe), probe
+        assert contains(lat, probe) == oracle.contains(probe), probe
     if not spec.is_sl:
         return
     assert junior_points(lat) == oracle.juniors()
@@ -265,7 +273,7 @@ def test_box_is_closed_under_addition():
     for p in lat.box_points:
         for q in lat.box_points:
             s = tuple(a + b for a, b in zip(p.coords, q.coords))
-            assert lat.contains(s)
+            assert contains(lat, s)
 
 
 def test_primitivity_flags():
@@ -399,7 +407,7 @@ def test_resolve_dim3(gens, expected_triangles, expected_juniors):
     lat = lattice(3, *gens)
     tri = resolve(lat)
     assert len(tri.simplices) == expected_triangles
-    assert len(tri.junior_vertex_ids) == expected_juniors
+    assert len(tri.vertices) - tri.n == expected_juniors
     assert _pick_triangle_count(tri) == expected_triangles
     # every vertex is used and simplices only reference known vertices
     used = {v for s in tri.simplices for v in s}
@@ -420,7 +428,7 @@ def _hirzebruch_jung_length(r, a):
 def test_resolve_dim2_chain(r):
     lat = lattice(2, (r, (1, r - 1)))
     tri = resolve(lat)
-    assert len(tri.junior_vertex_ids) == r - 1
+    assert len(tri.vertices) - tri.n == r - 1
     assert len(tri.simplices) == r
     assert _hirzebruch_jung_length(r, r - 1) == r - 1
     # the junior adjacency is a path
@@ -467,7 +475,7 @@ def test_box_ages_match_matrix_grading(text):
         age: sum(table.classes[k].size for k in ids)
         for age, ids in table.buckets.items()
     })
-    assert len(table.junior_classes()) == crepant_divisor_count(lat)
+    assert len(table.buckets.get(1, [])) == crepant_divisor_count(lat)
     if lat.n == 3:
         betti = betti_prediction(table)
         assert (betti.h2, betti.h4) == (box_ages[1], box_ages[2])

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from mckay import linalg, valuation
 from mckay.cli import main
 from mckay.cyclo import CycNum, cyclotomic_field
-from mckay.errors import RequirementError
-from mckay.groupfile import parse_group_file
+from mckay.errors import InternalInvariantError, RequirementError
+from mckay.groupfile import parse_group_file, parse_group_text
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 from mckay.age import eigen_exponents
 from mckay.valuation import (
     EigenDecomposition,
     MonomialValuation,
+    _monomials,
     _primitivize,
-    diagonal_exponents,
     eigen_decompose,
     monomial_valuation,
     quotient_discrepancy,
@@ -26,7 +26,7 @@ from mckay.valuation import (
 )
 
 from conftest import CORPUS, closed_group, group_path
-from test_toric import diagonal_specs
+from test_toric import diagonal_specs, spec_text
 
 
 def _diag_group(n, generators):
@@ -352,38 +352,99 @@ def test_junior_valuation_is_crepant():
         assert quotient_discrepancy(a_f, ram.degree) == 0
 
 
+def _scan_diagonal_exponents(group, index):
+    """The zeta scan that the word vector replaced: e_i with
+    entry_ii = zeta_N^{e_i}, trying k = 0..N-1."""
+    element, field = group.elements[index], group.field
+    n = group.dimension
+    assert not any(element.entries[i][j]
+                   for i in range(n) for j in range(n) if i != j)
+    return tuple(next(k for k in range(field.order)
+                      if element.entries[i][i] == field.zeta(k))
+                 for i in range(n))
+
+
+def _scan_fingerprint(group, index, probe_degree):
+    """The fingerprint as computed before word vectors, from scanned
+    diagonals of the generators and of the element."""
+    L, n = group.field.order, group.dimension
+    generator_exps = [_scan_diagonal_exponents(group, i)
+                      for i in group.generator_indices]
+    r = group.elements[index].order
+    b = _primitivize(tuple(e // (L // r)
+                           for e in _scan_diagonal_exponents(group, index)))
+    fingerprint = {}
+    for m in _monomials(n, probe_degree):
+        if all(sum(mi * ei for mi, ei in zip(m, exps)) % L == 0
+               for exps in generator_exps):
+            value = Fraction(sum(mi * bi for mi, bi in zip(m, b)), r)
+            fingerprint[m] = value.numerator if value.denominator == 1 else value
+    return fingerprint
+
+
+def _spec_and_group(n, generators):
+    spec = DiagonalGroupSpec(n, tuple(generators))
+    return spec, close_group(spec.matrices())
+
+
 def test_diagonal_exponents():
-    group = _diag_group(3, [(7, (1, 2, 4))])
+    spec, group = _spec_and_group(3, [(7, (1, 2, 4))])
     g = group.generator_indices[0]
-    step = group.field.order // 7
-    assert diagonal_exponents(group, g) == (step, 2 * step, 4 * step)
-    nondiag = closed_group("bd8")
-    with pytest.raises(RequirementError):
-        diagonal_exponents(nondiag, nondiag.generator_indices[1])
+    assert spec.word_vector(group.elements[g].word) == (1, 2, 4)
+    assert _scan_diagonal_exponents(group, g) == (1, 2, 4)
+    assert spec.word_vector(group.elements[group.power(g, 3)].word) == (3, 6, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=diagonal_specs(max_index=24, max_order=8))
+def test_word_vectors_and_fingerprints_match_the_scan(spec):
+    # the toric side (spec exponents along closure words) against the
+    # matrix side (scanned diagonals), under both choices
+    inverse = parse_group_text(spec_text(spec)).inverted().to_spec()
+    for s in (spec, inverse):
+        group = close_group(s.matrices())
+        L = group.field.order
+        assert s.exponent_vectors()[0] == L
+        for i in range(1, len(group)):
+            assert s.word_vector(group.elements[i].word) == \
+                _scan_diagonal_exponents(group, i)
+            for probe in range(1, 7):
+                assert valuation_fingerprint(s, group, i, probe) == \
+                    _scan_fingerprint(group, i, probe)
+
+
+def test_fingerprint_order_mismatch_names_the_element():
+    # the group has an involution where the spec has an element of order 4
+    _, group = _spec_and_group(2, [(2, (1, 1))])
+    spec = DiagonalGroupSpec(2, ((4, (1, 3)),))
+    with pytest.raises(InternalInvariantError,
+                       match=r"\(1/4\)\(1, 3\) of element g1 \(order 2\) "
+                             r"has order 4"):
+        valuation_fingerprint(spec, group, group.generator_indices[0], 2)
 
 
 def test_fingerprint_half_11():
-    group = _diag_group(2, [(2, (1, 1))])
+    spec, group = _spec_and_group(2, [(2, (1, 1))])
     g = group.generator_indices[0]
-    fp = valuation_fingerprint(group, g, 2)
+    fp = valuation_fingerprint(spec, group, g, 2)
     assert fp == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
 
 
 def test_fingerprint_third_12():
-    group = _diag_group(2, [(3, (1, 2))])
+    spec, group = _spec_and_group(2, [(3, (1, 2))])
     g = group.generator_indices[0]
-    fp = valuation_fingerprint(group, g, 3)
+    fp = valuation_fingerprint(spec, group, g, 3)
     assert fp == {(3, 0): 1, (1, 1): 1, (0, 3): 2}
 
 
 def test_fingerprint_values_are_integral_on_invariants():
     # v_g of an invariant monomial lies in (1/r) Z and here is integral for
     # the junior generator of (1/7)(1,2,4)
-    group = _diag_group(3, [(7, (1, 2, 4))])
+    spec, group = _spec_and_group(3, [(7, (1, 2, 4))])
     g = group.generator_indices[0]
-    fp = valuation_fingerprint(group, g, 7)
+    fp = valuation_fingerprint(spec, group, g, 7)
     assert fp  # x*y*z among others
     assert fp[(1, 1, 1)] == 1
     assert all(isinstance(v, int) for v in fp.values())
     with pytest.raises(RequirementError):
-        valuation_fingerprint(group, g, 0)
+        valuation_fingerprint(spec, group, g, 0)
