@@ -1,17 +1,15 @@
 """The age grading of conjugacy classes and the cohomology it predicts.
 
-Eigenvalue exponents are computed by the exact trace formula
-    m_a = (1/r) * sum_k zeta_r^(-a*k) * Tr(g^k),
-which self-checks integrality of every multiplicity.  The powers g^k are
-looked up in the group's power walks, so Tr(g^k) is the trace of a stored
-matrix.  The group stays in its own field Q(zeta_N); only the r scalars
-Tr(g^k) are embedded into Q(zeta_lcm(N, r)), the smallest cyclotomic field
-holding both them and zeta_r.  Grading is attached to conjugacy classes
-through a representative, with class-constancy asserted at runtime.
+Eigenvalue exponents come from one characteristic polynomial per power
+walk, in O(R*n) field products for a walk of length R: the element x^k of
+the walk of x has the k-th powers of the eigenvalues of x.  Grading is
+attached to conjugacy classes through a representative, with
+class-constancy asserted at runtime.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -54,42 +52,63 @@ class FractionalExpression:
         return f"(1/{self.r})({','.join(map(str, self.exponents))})"
 
 
-def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
-    """Exponents (with multiplicity) of the element's eigenvalues as powers
-    of the distinguished primitive r-th root, r = element order.
-
-    The traces Tr(g^k), k < r, are embedded into Q(zeta_L) with
-    L = lcm(N, r), N the order of the group's field; the group itself is
-    not touched.  The distinguished root is zeta_r = zeta_L^(L/r), which
-    restricts to the group field's zeta_N as zeta_L^(L/N).
-    """
-    r = group.elements[index].order
-    field = cyclotomic_field(lcm(group.field.order, r))
-    step = field.order // r
-    zeta_r_powers = [field.zeta(step * e) for e in range(r)]
-    traces = [group.elements[group.power(index, k)].trace().embed(field)
-              for k in range(r)]
-    n = group.dimension
-    exponents = []
-    total = 0
-    for a in range(r):
-        m = field.zero()
-        for k in range(r):
-            m = m + zeta_r_powers[(-a * k) % r] * traces[k]
-        value = (m * Fraction(1, r)).as_rational()
-        if value is None or value.denominator != 1 or value < 0:
-            raise InternalInvariantError(
-                f"multiplicity of exponent {a} for element "
-                f"{group.describe(index)} is {value}, not a nonnegative integer"
-            )
-        exponents.extend([a] * value.numerator)
-        total += value.numerator
-    if total != n:
+def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
+    """The exponents a, ascending with multiplicity, of the eigenvalues
+    zeta_R^a of x = walk[1], R = len(walk).  Newton's identities give
+    det(t - x) = t^n + c_1 t^(n-1) + ... + c_n from p_i = Tr(x^i), c_0 = 1:
+    k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), where p_(i+R) = p_i folds the
+    terms i >= R into (R + n - k) c_(k-R).  Horner's rule tries each R-th
+    root and divides it out while it is a root; raises unless n are found."""
+    n, R = group.dimension, len(walk)
+    p = [group.elements[y].trace() for y in walk[:n + 1]]
+    coeffs = [1]  # c_0
+    for k in range(1, n + 1):
+        s = sum((coeffs[k - i] * p[i] for i in range(1, min(k, R))),
+                p[k] if k < R else (R + n - k) * coeffs[k - R])
+        coeffs.append(-s if k == 1 else s * Fraction(-1, k))
+    field = cyclotomic_field(lcm(group.field.order, R))
+    coeffs = [c.embed(field) for c in coeffs[1:]]
+    exponents, a = [], 0
+    while coeffs and a < R:
+        z = field.zeta(field.order // R * a)
+        quotient = [coeffs[0] + z]  # its last entry is the remainder
+        for c in coeffs[1:]:  # times z = 1 or -1 is no field product
+            q = quotient[-1]
+            quotient.append(c + (q if a == 0 else -q if 2 * a == R else q * z))
+        if quotient.pop():
+            a += 1
+        else:
+            exponents.append(a)
+            coeffs = quotient
+    if len(exponents) != n:
         raise InternalInvariantError(
-            f"exponent multiplicities of element {group.describe(index)} "
-            f"sum to {total}, expected {n}"
-        )
+            f"the characteristic polynomial of element {group.describe(walk[1])} "
+            f"has {len(exponents)} of its {n} roots among the {R}-th roots of unity")
+    return exponents
+
+
+def _expression(group: MatrixGroup, index: int, by_generator) -> FractionalExpression:
+    """`eigen_exponents`, with walk generators' exponents in `by_generator`."""
+    walk, k = group.places[index]
+    R, x = len(walk), walk[1 % len(walk)]
+    if x not in by_generator:  # x == 0 only for e, whose eigenvalues are 1
+        by_generator[x] = _walk_exponents(group, walk) if x else [0] * group.dimension
+    g = gcd(R, k)
+    r = R // g
+    exponents = sorted(a * k % R // g for a in by_generator[x])
+    field = cyclotomic_field(lcm(group.field.order, r))
+    roots = field.element(Counter(field.order // r * e for e in exponents))
+    if roots != group.elements[index].trace().embed(field):
+        raise InternalInvariantError(f"the eigenvalues derived for element "
+                                     f"{group.describe(index)} do not sum to its trace")
     return FractionalExpression(r, tuple(exponents))
+
+
+def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
+    """Exponents (with multiplicity) of the element's eigenvalues as powers of
+    zeta_r = zeta_L^(L/r), r its order, L = lcm(N, r), zeta_L^(L/N) = zeta_N
+    of the group's field; read from the characteristic polynomial of its walk."""
+    return _expression(group, index, {})
 
 
 @dataclass
@@ -110,10 +129,10 @@ class GradedClassTable:
 
 
 def grade(group: MatrixGroup) -> GradedClassTable:
-    """Grade every conjugacy class by the age of its representative,
-    asserting that all members share its fractional expression.  That is a
-    function of the order r and the traces Tr(g^k), k < r, so members are
-    compared on those (in the group's field) without the trace formula."""
+    """Grade every conjugacy class by the age of its representative (one
+    characteristic polynomial per walk), asserting that all members share
+    its fractional expression: a function of r and Tr(g^k), k < r, so
+    members are compared on those, in the group's field."""
     if not group.in_sl:
         raise RequirementError("grading requires a subgroup of SL(n, C)")
     traces = [element.trace() for element in group.elements]
@@ -124,9 +143,10 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     gradings = []
     buckets: dict[int, list[int]] = {}
     gamma1_zero = []
+    by_generator = {}
     for k, cls in enumerate(group.classes):
-        expr = eigen_exponents(group, cls.representative)
-        expected = power_traces(cls.representative)
+        expr = _expression(group, cls.representative, by_generator)
+        expected = power_traces(cls.representative) if len(cls) > 1 else None
         for member in cls.members:
             if member != cls.representative and power_traces(member) != expected:
                 raise InternalInvariantError(

@@ -91,9 +91,9 @@ class MatrixGroup:
     `right[k][i]` is the index of elements[i] * generator k, as recorded by
     the closure; products and classes are read from it.  `_walks` holds one
     power walk (x^0, x^1, ..., x^(r-1)) for each x, in index order, that no
-    earlier walk reached, and `_place[i]` is the pair (walk, k) with
+    earlier walk reached, and `places[i]` is the pair (walk, k) with
     walk[k] == i from the first walk that reached i.  Orders, powers,
-    inverses and cyclic subgroups are read from that pair.
+    inverses, cyclic subgroups and (in `age`) eigenvalues are read from it.
     """
 
     def __init__(self, dimension, field, elements, generator_indices,
@@ -106,9 +106,9 @@ class MatrixGroup:
         self._right = right
         self.in_sl = in_sl
         self._walks = []
-        self._place = [None] * len(elements)
+        self.places = [None] * len(elements)
         for x in range(len(elements)):
-            if self._place[x] is not None:
+            if self.places[x] is not None:
                 continue
             walk, acc = [0], x
             while acc:
@@ -122,8 +122,8 @@ class MatrixGroup:
             walk = tuple(walk)
             self._walks.append(walk)
             for k, y in enumerate(walk):
-                if self._place[y] is None:
-                    self._place[y] = (walk, k)
+                if self.places[y] is None:
+                    self.places[y] = (walk, k)
                     elements[y].order = len(walk) // gcd(len(walk), k)
         self.exponent = lcm(*(len(walk) for walk in self._walks))
         self.class_of = {}
@@ -144,7 +144,7 @@ class MatrixGroup:
         return self.power(i, -1)
 
     def power(self, i: int, m: int) -> int:
-        walk, k = self._place[i]
+        walk, k = self.places[i]
         return walk[k * m % len(walk)]
 
     def element_name(self, i: int) -> str:
@@ -178,7 +178,7 @@ class MatrixGroup:
     # -- derived structure -------------------------------------------------
 
     def cyclic_subgroup(self, i: int) -> frozenset[int]:
-        walk, k = self._place[i]
+        walk, k = self.places[i]
         return frozenset(walk[::gcd(len(walk), k)])
 
     def maximal_cyclic_subgroups(self) -> list[CyclicSubgroup]:

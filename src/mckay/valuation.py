@@ -75,7 +75,7 @@ class MonomialValuation:
 def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
     """Exact eigendecomposition via kernels of (g - zeta_r^a * I), with g
     embedded into Q(zeta_lcm(N, r)); kernel dimensions are cross-checked
-    against the trace-formula multiplicities."""
+    against the characteristic-polynomial multiplicities."""
     expr = eigen_exponents(group, index)
     r = group.elements[index].order
     field = cyclotomic_field(lcm(group.field.order, r))
@@ -98,7 +98,7 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
         if len(kernel) != expected:
             raise InternalInvariantError(
                 f"kernel dimension {len(kernel)} for exponent {a} of element "
-                f"{group.describe(index)} does not match trace-formula "
+                f"{group.describe(index)} does not match characteristic-polynomial "
                 f"multiplicity {expected}"
             )
         for vec in kernel:

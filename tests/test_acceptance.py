@@ -208,8 +208,10 @@ def test_criterion_9_property_invariants():
             group = closed_group(name)
             n = group.dimension
             for i in range(len(group)):
-                # eigen_exponents raises unless every multiplicity is a
-                # nonnegative integer and the total is n
+                # eigen_exponents raises unless the characteristic
+                # polynomial of the element's walk generator splits into n
+                # linear factors over the roots of unity of its order, and
+                # the roots derived for the element sum to its trace
                 expr = eigen_exponents(group, i)
                 assert len(expr.exponents) == n
             table = graded_table(name)  # asserts age-constant classes

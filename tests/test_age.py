@@ -1,10 +1,13 @@
 import re
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mckay import linalg
+from mckay import age, linalg
 from mckay.age import (
     FractionalExpression,
     betti_prediction,
@@ -14,12 +17,14 @@ from mckay.age import (
     grade,
     inverse_bijection,
 )
+from mckay.cyclo import cyclotomic_field
 from mckay.errors import InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 
 from conftest import CORPUS, closed_group, graded_table, group_path
+from test_toric import diagonal_specs
 
 
 def _flipped(expr):
@@ -31,6 +36,120 @@ def _flipped(expr):
 def _diag_group(n, generators):
     spec = DiagonalGroupSpec(n, tuple(generators))
     return close_group(spec.matrices())
+
+
+def oracle_eigen_exponents(group, index):
+    """The trace formula m_a = (1/r) * sum_k zeta_r^(-a*k) * Tr(g^k), which
+    `eigen_exponents` replaced: r^2 products in Q(zeta_lcm(N, r)) for one
+    element, with integrality of every multiplicity as its check."""
+    r = group.elements[index].order
+    field = cyclotomic_field(lcm(group.field.order, r))
+    step = field.order // r
+    zeta_r_powers = [field.zeta(step * e) for e in range(r)]
+    traces = [group.elements[group.power(index, k)].trace().embed(field)
+              for k in range(r)]
+    n = group.dimension
+    exponents = []
+    total = 0
+    for a in range(r):
+        m = field.zero()
+        for k in range(r):
+            m = m + zeta_r_powers[(-a * k) % r] * traces[k]
+        value = (m * Fraction(1, r)).as_rational()
+        if value is None or value.denominator != 1 or value < 0:
+            raise InternalInvariantError(
+                f"multiplicity of exponent {a} for element "
+                f"{group.describe(index)} is {value}, not a nonnegative integer"
+            )
+        exponents.extend([a] * value.numerator)
+        total += value.numerator
+    if total != n:
+        raise InternalInvariantError(
+            f"exponent multiplicities of element {group.describe(index)} "
+            f"sum to {total}, expected {n}"
+        )
+    return FractionalExpression(r, tuple(exponents))
+
+
+def _assert_matches_oracle(group):
+    for i in range(len(group)):
+        assert eigen_exponents(group, i) == oracle_eigen_exponents(group, i), \
+            group.describe(i)
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_eigen_exponents_match_the_trace_formula_on_the_corpus(name, choice):
+    gf = parse_group_file(group_path(name))
+    _assert_matches_oracle((gf.inverted() if choice == "inverse" else gf).close())
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=diagonal_specs(max_index=30, max_order=10, sl=None))
+def test_eigen_exponents_match_the_trace_formula_on_diagonal_groups(spec):
+    _assert_matches_oracle(close_group(spec.matrices()))
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """Integer matrices of determinant +-1: a sign times a lower and an
+    upper unitriangular matrix, so the entries are dense in general."""
+    entry = st.integers(-2, 2)
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(entry) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    sign = draw(st.sampled_from((1, -1)))
+    return [[(sign if i == 0 else 1) * sum(lower[i][k] * upper[k][j]
+                                           for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_eigen_exponents_match_the_trace_formula_off_the_diagonal(data):
+    # P^-1 D P for a diagonal D and an integer P of determinant +-1: the
+    # walks, the traces and the trace-sum check run on dense matrices whose
+    # diagonal entries are not their eigenvalues
+    spec = data.draw(diagonal_specs(max_index=24, max_order=8, sl=None))
+    diagonal = spec.matrices()
+    field = diagonal[0][0][0].field
+    p = tuple(tuple(field.from_rational(c) for c in row)
+              for row in data.draw(unimodular_matrices(spec.n)))
+    p_inv = linalg.mat_inv(p)
+    _assert_matches_oracle(close_group(
+        [linalg.mat_mul(linalg.mat_mul(p_inv, d), p) for d in diagonal]))
+
+
+def _counted_walks(monkeypatch):
+    """The walks `age._walk_exponents` is called on, one entry a call."""
+    walks, real = [], age._walk_exponents
+
+    def counted(group, walk):
+        walks.append(walk)
+        return real(group, walk)
+
+    monkeypatch.setattr(age, "_walk_exponents", counted)
+    return walks
+
+
+def test_grade_builds_one_polynomial_for_a_cyclic_group(monkeypatch):
+    # every nonidentity element of (1/211)(1,2,208) lies in the walk of g1,
+    # and the identity's eigenvalues need no polynomial
+    walks = _counted_walks(monkeypatch)
+    group = _diag_group(3, [(211, (1, 2, 208))])
+    table = grade(group)
+    assert len(table.classes) == 211
+    assert walks == [group.places[group.generator_indices[0]][0]]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_grade_builds_at_most_one_polynomial_per_walk(monkeypatch, name):
+    walks = _counted_walks(monkeypatch)
+    group = closed_group(name)
+    grade(group)
+    assert len(walks) == len(set(walks))
+    assert set(walks) <= {walk for walk, _ in group.places}
 
 
 def test_cyclic_7_exponents():

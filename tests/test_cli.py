@@ -3,6 +3,7 @@ import json
 import pathlib
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from mckay import cli, linalg, toric, valuation
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
+from mckay.groupfile import GroupFile
 from mckay.valuation import MAX_PROBE_MONOMIALS
 
 from conftest import CORPUS, group_path
@@ -253,8 +255,64 @@ def test_internal_error_names_the_element(capsys, monkeypatch):
     code, out, err = run(capsys, "ram", "--class", "1", str(group_path("bd8")))
     assert (code, out) == (5, "")
     assert err == ("internal error: kernel dimension 0 for exponent 1 of "
-                   "element A (order 4) does not match trace-formula "
-                   "multiplicity 1\n")
+                   "element A (order 4) does not match "
+                   "characteristic-polynomial multiplicity 1\n")
+
+
+def _tamper_after_closing(monkeypatch, tamper):
+    """Make `GroupFile.close` hand the CLI a group changed by `tamper`."""
+    real_close = GroupFile.close
+
+    def close(self, cap):
+        group = real_close(self, cap)
+        tamper(group)
+        return group
+
+    monkeypatch.setattr(GroupFile, "close", close)
+
+
+def test_eigenvalues_that_miss_the_trace_are_an_internal_error(capsys, monkeypatch):
+    # swap the matrices of x^2 and x^3 for x = g1^-1 in (1/7)(1,2,4): they
+    # sit at places 5 and 4 of the walk of g1, past the traces Tr(g1^k),
+    # k <= 3, of its characteristic polynomial, so the polynomial splits
+    # and the roots derived for g1^4 miss the trace that g1^4 now holds
+    def swap(group):
+        g = group.generator_indices[0]
+        a, b = (group.elements[group.power(g, -k)] for k in (2, 3))
+        a.entries, b.entries = b.entries, a.entries
+
+    _tamper_after_closing(monkeypatch, swap)
+    code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))
+    assert (code, out) == (5, "")
+    assert err == ("internal error: the eigenvalues derived for element g1^4 "
+                   "(order 7) do not sum to its trace\n")
+
+
+def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
+        capsys, monkeypatch):
+    # give the walk generator g1 of (1/7)(1,2,4) the matrix diag(2, 3, 1/6),
+    # whose eigenvalues are no 7th roots of unity
+    def replace_generator(group):
+        field = group.field
+        diagonal = (Fraction(2), Fraction(3), Fraction(1, 6))
+        group.elements[group.generator_indices[0]].entries = tuple(
+            tuple(field.from_rational(diagonal[i] if i == j else 0)
+                  for j in range(3)) for i in range(3))
+
+    _tamper_after_closing(monkeypatch, replace_generator)
+    code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))
+    assert (code, out) == (5, "")
+    assert err == ("internal error: the characteristic polynomial of element "
+                   "g1 (order 7) has 0 of its 3 roots among the 7-th roots "
+                   "of unity\n")
+
+
+def test_classes_on_a_cyclic_group_of_order_211(capsys, tmp_path):
+    # 211 singleton classes, graded from one characteristic polynomial
+    path = tmp_path / "cyclic211.grp"
+    path.write_text("format diagonal\ndimension 3\ngenerator 211 : 1 2 208\n")
+    data = run_json(capsys, "classes", str(path))
+    assert len(data["classes"]) == 211
 
 
 @pytest.mark.parametrize("members, reason", [
