@@ -1,8 +1,9 @@
 """The age grading of conjugacy classes and the cohomology it predicts.
 
 Eigenvalue exponents come from one characteristic polynomial per power
-walk, in O(R*n) field products for a walk of length R: the element x^k of
-the walk of x has the k-th powers of the eigenvalues of x.  Grading is
+walk, of the d eigenvalues other than 1, in O(R*d) field products for a
+walk of length R: the element x^k of the walk of x has the k-th powers of
+the eigenvalues of x.  Grading is
 attached to conjugacy classes through a representative, with
 class-constancy asserted at runtime.
 """
@@ -52,29 +53,39 @@ class FractionalExpression:
         return f"(1/{self.r})({','.join(map(str, self.exponents))})"
 
 
-def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
+def _walk_exponents(group: MatrixGroup, walk, trace) -> list[int]:
     """The exponents a, ascending with multiplicity, of the eigenvalues
-    zeta_R^a of x = walk[1], R = len(walk).  Newton's identities give
-    det(t - x) = t^n + c_1 t^(n-1) + ... + c_n from p_i = Tr(x^i), c_0 = 1:
-    k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), where p_(i+R) = p_i folds the
-    terms i >= R into (R + n - k) c_(k-R).  Horner's rule tries each R-th
-    root and divides it out while it is a root; raises unless n are found."""
+    zeta_R^a of x = walk[1], R = len(walk), from p_i = Tr(x^i) = trace(walk[i]).
+    The eigenvalue 1 has multiplicity m = (p_0 + ... + p_(R-1)) / R, taken
+    as 0 unless that is an integer in [0, n], so that wrong traces still
+    fail the split check or the trace-sum check.  Newton's identities give the
+    polynomial t^d + c_1 t^(d-1) + ... + c_d, d = n - m, of the others from
+    q_i = p_i - m, c_0 = 1: k c_k = -(c_(k-1) q_1 + ... + c_0 q_k), where
+    q_(i+R) = q_i folds the terms i >= R into (R + d - k) c_(k-R).  Horner's
+    rule tries each R-th root but 1 and divides it out while it is a root;
+    raises unless n roots are found."""
     n, R = group.dimension, len(walk)
-    p = [group.elements[y].trace() for y in walk[:n + 1]]
+    p = [trace(y) for y in walk]
+    total = sum(p[1:], p[0])
+    m = total.nums[0] // R
+    if not (0 <= m <= n and total == R * m):
+        m = 0
+    d = n - m
+    q = [x - m for x in p[:d + 1]]
     coeffs = [1]  # c_0
-    for k in range(1, n + 1):
-        s = sum((coeffs[k - i] * p[i] for i in range(1, min(k, R))),
-                p[k] if k < R else (R + n - k) * coeffs[k - R])
+    for k in range(1, d + 1):
+        s = sum((coeffs[k - i] * q[i] for i in range(1, min(k, R))),
+                q[k] if k < R else (R + d - k) * coeffs[k - R])
         coeffs.append(-s if k == 1 else s * Fraction(-1, k))
     field = cyclotomic_field(lcm(group.field.order, R))
     coeffs = [c.embed(field) for c in coeffs[1:]]
-    exponents, a = [], 0
+    exponents, a = [0] * m, 1
     while coeffs and a < R:
         z = field.zeta(field.order // R * a)
         quotient = [coeffs[0] + z]  # its last entry is the remainder
-        for c in coeffs[1:]:  # times z = 1 or -1 is no field product
-            q = quotient[-1]
-            quotient.append(c + (q if a == 0 else -q if 2 * a == R else q * z))
+        for c in coeffs[1:]:  # times z = -1 is no field product
+            prev = quotient[-1]
+            quotient.append(c + (-prev if 2 * a == R else prev * z))
         if quotient.pop():
             a += 1
         else:
@@ -87,18 +98,21 @@ def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
     return exponents
 
 
-def _expression(group: MatrixGroup, index: int, by_generator) -> FractionalExpression:
-    """`eigen_exponents`, with walk generators' exponents in `by_generator`."""
+def _expression(group: MatrixGroup, index: int, by_generator,
+                trace) -> FractionalExpression:
+    """`eigen_exponents`, with walk generators' exponents in `by_generator`
+    and `trace(i)` the trace of element i."""
     walk, k = group.places[index]
     R, x = len(walk), walk[1 % len(walk)]
     if x not in by_generator:  # x == 0 only for e, whose eigenvalues are 1
-        by_generator[x] = _walk_exponents(group, walk) if x else [0] * group.dimension
+        by_generator[x] = (_walk_exponents(group, walk, trace) if x
+                           else [0] * group.dimension)
     g = gcd(R, k)
     r = R // g
     exponents = sorted(a * k % R // g for a in by_generator[x])
     field = cyclotomic_field(lcm(group.field.order, r))
     roots = field.element(Counter(field.order // r * e for e in exponents))
-    if roots != group.elements[index].trace().embed(field):
+    if roots != trace(index).embed(field):
         raise InternalInvariantError(f"the eigenvalues derived for element "
                                      f"{group.describe(index)} do not sum to its trace")
     return FractionalExpression(r, tuple(exponents))
@@ -108,7 +122,7 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     """Exponents (with multiplicity) of the element's eigenvalues as powers of
     zeta_r = zeta_L^(L/r), r its order, L = lcm(N, r), zeta_L^(L/N) = zeta_N
     of the group's field; read from the characteristic polynomial of its walk."""
-    return _expression(group, index, {})
+    return _expression(group, index, {}, lambda i: group.elements[i].trace())
 
 
 @dataclass
@@ -145,7 +159,7 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     gamma1_zero = []
     by_generator = {}
     for k, cls in enumerate(group.classes):
-        expr = _expression(group, cls.representative, by_generator)
+        expr = _expression(group, cls.representative, by_generator, traces.__getitem__)
         expected = power_traces(cls.representative) if len(cls) > 1 else None
         for member in cls.members:
             if member != cls.representative and power_traces(member) != expected:

@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from . import age as age_mod
 from . import quiver, toric, valuation
-from .errors import (
-    ClosureCapError,
-    FieldCapError,
-    GroupFileError,
-    InternalInvariantError,
-    ProbeCapError,
-    RequirementError,
-)
+from .errors import InternalInvariantError, McKayError, RequirementError
 from .groupfile import GroupFile, parse_group_file
 from .matgroup import DEFAULT_CAP, MatrixGroup
 
@@ -289,21 +282,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         sys.stdout.write(_COMMANDS[args.command](args))
-    except GroupFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError,) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RequirementError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (ClosureCapError, FieldCapError, ProbeCapError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except InternalInvariantError as err:
-        print(f"internal error: {err}", file=sys.stderr)
-        return 5
+    except (McKayError, OSError) as err:
+        code = getattr(err, "exit_code", 2)  # an OSError is exit 2
+        print(f"{'internal error' if code == 5 else 'error'}: {err}", file=sys.stderr)
+        return code
     return 0
 
 

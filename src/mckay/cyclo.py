@@ -7,10 +7,10 @@ reduced modulo the R-th cyclotomic polynomial and with
 gcd(den, *nums) = 1.  The normal form is unique, so equality and hashing
 compare integer tuples.  Arithmetic is integer arithmetic: sums add
 numerators over a common denominator, products convolve the numerators and
-reduce through the field's table of powers of zeta.  That reduction is one
-method, `CyclotomicField.reduce`, shared by `CycNum.__mul__` and the matrix
-product kernel of `linalg`, which reduces each entry's sum of products
-once.  `fractions.Fraction` appears only at the boundaries: building
+reduce through the field's table of powers of zeta.  One kernel, `_dot`,
+does that convolution and reduction for `CycNum.__mul__` and for the matrix
+products of `linalg`, which reduce each entry's sum of products once.
+`fractions.Fraction` appears only at the boundaries: building
 elements from rational coefficients, reading them back (`as_rational`,
 `coeffs`, `to_literal`), and the rational Euclid of `inverse`.
 
@@ -124,20 +124,6 @@ class CyclotomicField:
         self._zero = CycNum(self, (0,) * self.degree)
         self._one = self.element({0: 1})
 
-    def reduce(self, conv: list[int]) -> tuple[int, ...]:
-        """The numerators of sum_k conv[k] * zeta^k reduced modulo Phi_R,
-        for a buffer of at most 2 * degree - 1 integers, such as the
-        convolution of two numerator vectors; `conv` is consumed."""
-        deg = self.degree
-        table = self._power_table
-        for k in range(deg, len(conv)):
-            c = conv[k]
-            if c:
-                for i, t in table[k]:
-                    conv[i] += c * t
-        del conv[deg:]
-        return tuple(conv)
-
     def zero(self) -> "CycNum":
         return self._zero
 
@@ -172,6 +158,36 @@ def cyclotomic_field(order: int) -> CyclotomicField:
     if order > MAX_FIELD_ORDER:
         raise FieldCapError(order, MAX_FIELD_ORDER)
     return CyclotomicField(order)
+
+
+def _terms(x: "CycNum") -> list[tuple[int, int]]:
+    """The nonzero numerators of x as (power of zeta, integer) pairs."""
+    return [(i, c) for i, c in enumerate(x.nums) if c]
+
+
+def _dot(field: CyclotomicField, pairs) -> "CycNum":
+    """sum of x*y over `pairs` of (x.den * y.den, terms of x, terms of y):
+    every product over the lcm of the denominators, one convolution buffer,
+    one reduction modulo Phi_R through the power table."""
+    if not pairs:
+        return field.zero()
+    den = pairs[0][0] if len(pairs) == 1 else lcm(*(d for d, _, _ in pairs))
+    deg = field.degree
+    conv = [0] * (2 * deg - 1)
+    for d, left, right in pairs:
+        scale = den // d
+        for i, a in left:
+            a *= scale
+            for j, b in right:
+                conv[i + j] += a * b
+    table = field._power_table
+    for k in range(deg, len(conv)):
+        c = conv[k]
+        if c:
+            for i, t in table[k]:
+                conv[i] += c * t
+    del conv[deg:]
+    return CycNum(field, tuple(conv), den)
 
 
 class CycNum:
@@ -250,18 +266,11 @@ class CycNum:
 
     def __mul__(self, other):
         """Integer convolution of the numerators, reduced modulo Phi_R
-        through the power table; the denominators multiply."""
+        (`_dot` of one pair); the denominators multiply."""
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.field
-        conv = [0] * (2 * field.degree - 1)
-        terms = [(j, b) for j, b in enumerate(other.nums) if b]
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in terms:
-                    conv[i + j] += a * b
-        return CycNum(field, field.reduce(conv), self.den * other.den)
+        return _dot(self.field, ((self.den * other.den, _terms(self), _terms(other)),))
 
     __rmul__ = __mul__
 
@@ -369,7 +378,7 @@ class CycNum:
                     nums[i] += c * t
         return CycNum(target, tuple(nums), self.den)
 
-    def to_literal(self, symbol: str = "z") -> str:
+    def to_literal(self) -> str:
         """Deterministic literal string, e.g. '-1/2*z^3 + 1/2*z'."""
         terms = []
         for k, c in enumerate(self.nums):
@@ -377,7 +386,7 @@ class CycNum:
                 continue
             text = str(Fraction(abs(c), self.den))
             if k:
-                text += "*" + (symbol if k == 1 else f"{symbol}^{k}")
+                text += "*z" if k == 1 else f"*z^{k}"
             terms.append((text, c < 0))
         if not terms:
             return "0"
@@ -399,7 +408,7 @@ class LiteralSyntaxError(RequirementError):
         super().__init__(f"col {position + 1}: {message}")
 
 
-def parse_literal(text: str, field: CyclotomicField, symbol: str = "z") -> CycNum:
+def parse_literal(text: str, field: CyclotomicField) -> CycNum:
     """Parse a sum of terms ``c``, ``c*z^k``, ``c*z`` or bare ``z^k``/``z``
     where c is an integer or integer fraction p/q.  Whitespace insignificant."""
     powers: dict[int, Fraction] = {}
@@ -450,10 +459,10 @@ def parse_literal(text: str, field: CyclotomicField, symbol: str = "z") -> CycNu
             if i < n and text[i] == "*":
                 i = skip_ws(i + 1)
                 has_coef = False  # a z-part must follow
-                if i >= n or text[i] != symbol:
-                    raise LiteralSyntaxError(f"expected '{symbol}' after '*'", i)
+                if i >= n or text[i] != "z":
+                    raise LiteralSyntaxError("expected 'z' after '*'", i)
         power = 0
-        if i < n and text[i] == symbol:
+        if i < n and text[i] == "z":
             power = 1
             i = skip_ws(i + 1)
             if i < n and text[i] == "^":

@@ -1,12 +1,15 @@
-"""Exception hierarchy shared across the library and mapped to CLI exit codes."""
+"""Exception hierarchy shared across the library; each class carries the
+exit code the command line ends with when it is raised."""
 
 
 class McKayError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; only its subclasses are raised."""
 
 
 class GroupFileError(McKayError):
     """Malformed input file. Carries a 1-based line/column position."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -20,9 +23,13 @@ class GroupFileError(McKayError):
 class RequirementError(McKayError):
     """A computation was requested on input that does not satisfy its preconditions."""
 
+    exit_code = 3
+
 
 class ClosureCapError(McKayError):
     """Group closure exceeded the element cap (group too large or infinite)."""
+
+    exit_code = 4
 
     def __init__(self, cap):
         super().__init__(f"closure exceeded cap of {cap} elements; "
@@ -32,12 +39,16 @@ class ClosureCapError(McKayError):
 class FieldCapError(McKayError):
     """A cyclotomic field was requested past the largest supported order."""
 
+    exit_code = 4
+
     def __init__(self, order, limit):
         super().__init__(f"cyclotomic order {order} exceeds the limit of {limit}")
 
 
 class ProbeCapError(McKayError):
     """A valuation fingerprint would enumerate more monomials than allowed."""
+
+    exit_code = 4
 
     def __init__(self, degree, dimension, count, limit):
         super().__init__(f"probe degree {degree} in dimension {dimension} "
@@ -46,3 +57,5 @@ class ProbeCapError(McKayError):
 
 class InternalInvariantError(McKayError):
     """A theory-guaranteed property failed to hold; always an implementation bug."""
+
+    exit_code = 5

@@ -1,20 +1,17 @@
 """Exact dense linear algebra over a cyclotomic field.
 
-Matrices are tuples of row tuples of CycNum.  A product entry is computed
-in integers: the products x*y of its row and column are put over one
-common denominator, their numerators are convolved into one buffer, the
-buffer is reduced modulo Phi_R once, and one CycNum is built from it.
-`RightMultiplier` keeps the nonzero numerator terms of a fixed right
-factor, so a closure multiplying many rows by one generator extracts
-them once.  Elimination (`det`, `rref`) divides by pivots; entries are
-exact and the sizes this library sees are small (n <= 4).
+Matrices are tuples of row tuples of CycNum.  Each product entry is one
+call of the integer kernel `cyclo._dot`, and `RightMultiplier` extracts the
+numerator terms of a fixed right factor once.  `det`, `rref`,
+`kernel_basis` and `mat_inv` run on one elimination, `_eliminate`, which
+inverts a pivot only when an entry must be divided by it.  Entries are
+exact at any size; the dimension family reaches n = 1000, where each
+g - zeta^a*I is diagonal and its kernel costs no inverse.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
-from .cyclo import CyclotomicField, CycNum
+from .cyclo import CyclotomicField, CycNum, _dot, _terms
 from .errors import RequirementError
 
 Matrix = tuple[tuple[CycNum, ...], ...]
@@ -34,28 +31,6 @@ def _field_of(a: Matrix) -> CyclotomicField:
             if x.field is not field:
                 raise RequirementError(f"field mismatch: {field} vs {x.field}")
     return field
-
-
-def _terms(x: CycNum) -> tuple[tuple[int, int], ...]:
-    """The nonzero numerators of x as (power of zeta, integer) pairs."""
-    return tuple((i, c) for i, c in enumerate(x.nums) if c)
-
-
-def _dot(field: CyclotomicField, pairs) -> CycNum:
-    """sum of x*y over `pairs` of (x.den * y.den, terms of x, terms of y):
-    every product over the lcm of the denominators, one convolution buffer,
-    one reduction modulo Phi_R."""
-    if not pairs:
-        return field.zero()
-    den = lcm(*(d for d, _, _ in pairs))
-    conv = [0] * (2 * field.degree - 1)
-    for d, left, right in pairs:
-        scale = den // d
-        for i, a in left:
-            a *= scale
-            for j, b in right:
-                conv[i + j] += a * b
-    return CycNum(field, field.reduce(conv), den)
 
 
 class RightMultiplier:
@@ -94,52 +69,53 @@ def trace(a: Matrix) -> CycNum:
     return sum((a[i][i] for i in range(len(a))), a[0][0].field.zero())
 
 
+def _eliminate(rows: list[list[CycNum]], reduced: bool):
+    """Gaussian elimination on `rows`, in place, column by column.  For
+    each pivot it finds it yields (column, pivot, whether a row swap brought
+    it up), and then clears the pivot's column: below the pivot only, or,
+    if `reduced`, also above it, after scaling the pivot row to a leading 1,
+    which leaves the reduced row echelon form.  A pivot is inverted only
+    when an entry must be divided by it: not when it is 1 or alone in its
+    row, and in the forward pass not when no row below needs clearing."""
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot, tail = rows[r][c], rows[r][c + 1:]
+        yield c, pivot, p != r
+        targets = [i for i in range(0 if reduced else r + 1, len(rows))
+                   if i != r and rows[i][c]]
+        if pivot != 1 and any(tail) and (reduced or targets):
+            inverse = pivot.inverse()
+            tail = [x * inverse for x in tail]
+        if reduced:
+            rows[r][c:] = [pivot.field.one(), *tail]
+        for i in targets:  # row i minus rows[i][c] times the scaled pivot row
+            f, row = rows[i][c], rows[i]
+            row[c:] = [pivot.field.zero(), *(x - f * y if y else x
+                                             for x, y in zip(row[c + 1:], tail))]
+        r += 1
+
+
 def det(a: Matrix) -> CycNum:
-    n = len(a)
-    field = a[0][0].field
-    m = [list(row) for row in a]
-    result = field.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result = result * m[col][col]
-        inv = None  # the pivot is inverted only if a row below needs it
-        for r in range(col + 1, n):
-            if m[r][col]:
-                if inv is None:
-                    inv = m[col][col].inverse()
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    return result
+    """The product of the forward pass's pivots, up to the sign of its row
+    swaps; it stops at the first column without a pivot."""
+    result, rank = a[0][0].field.one(), 0
+    for c, pivot, swapped in _eliminate([list(row) for row in a], False):
+        if c != rank:
+            break
+        result = -(result * pivot) if swapped else result * pivot
+        rank += 1
+    return result if rank == len(a) else a[0][0].field.zero()
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with lexicographic pivot order."""
     rows = [list(row) for row in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    pivots = tuple(c for c, _, _ in _eliminate(rows, True))
+    return tuple(tuple(row) for row in rows), pivots
 
 
 def kernel_basis(a: Matrix) -> list[tuple[CycNum, ...]]:

@@ -17,7 +17,7 @@ from mckay.age import (
     grade,
     inverse_bijection,
 )
-from mckay.cyclo import cyclotomic_field
+from mckay.cyclo import CycNum, cyclotomic_field
 from mckay.errors import InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file
 from mckay.matgroup import close_group
@@ -125,9 +125,9 @@ def _counted_walks(monkeypatch):
     """The walks `age._walk_exponents` is called on, one entry a call."""
     walks, real = [], age._walk_exponents
 
-    def counted(group, walk):
+    def counted(group, walk, trace):
         walks.append(walk)
-        return real(group, walk)
+        return real(group, walk, trace)
 
     monkeypatch.setattr(age, "_walk_exponents", counted)
     return walks
@@ -150,6 +150,26 @@ def test_grade_builds_at_most_one_polynomial_per_walk(monkeypatch, name):
     grade(group)
     assert len(walks) == len(set(walks))
     assert set(walks) <= {walk for walk, _ in group.places}
+
+
+def test_grade_reads_the_multiplicity_of_the_eigenvalue_1_off_the_traces(monkeypatch):
+    # one order-3 generator with exponents (1, 2, 0, ..., 0) in dimension
+    # 200: the eigenvalue 1 of multiplicity 198 costs no Horner pass, so
+    # grade makes about one field addition per diagonal entry of its 3
+    # traces; deflating the root 1 once per multiplicity took 22299
+    n = 200
+    group = _diag_group(n, [(3, (1, 2) + (0,) * (n - 2))])
+    calls, real = [], CycNum.__add__
+
+    def counted(x, y):
+        calls.append(x)
+        return real(x, y)
+
+    monkeypatch.setattr(CycNum, "__add__", counted)
+    table = grade(group)
+    assert [c.expression.exponents for c in table.classes[1:]] == \
+        [(0,) * (n - 2) + (1, 2)] * 2
+    assert len(calls) < 4 * n
 
 
 def test_cyclic_7_exponents():

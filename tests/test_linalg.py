@@ -1,5 +1,7 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,70 @@ def oracle_det(a):
             term = term * a[i][j]
         total = total + term
     return total
+
+
+def oracle_eliminating_det(a):
+    """Forward elimination that inverts a pivot whenever a row below has an
+    entry in its column: the `det` that `linalg._eliminate` replaced."""
+    n = len(a)
+    field = a[0][0].field
+    m = [list(row) for row in a]
+    result = field.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return field.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result = result * m[col][col]
+        inv = None  # the pivot is inverted only if a row below needs it
+        for r in range(col + 1, n):
+            if m[r][col]:
+                if inv is None:
+                    inv = m[col][col].inverse()
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] = m[r][c] - f * m[col][c]
+    return result
+
+
+def oracle_rref(a):
+    """Gauss-Jordan that inverts every pivot: the `rref` that
+    `linalg._eliminate` replaced."""
+    rows = [list(row) for row in a]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+@contextmanager
+def counted_inverses():
+    """A list that gains one entry for each `CycNum.inverse` call."""
+    calls, real = [], cyclo.CycNum.inverse
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    with mock.patch.object(cyclo.CycNum, "inverse", counted):
+        yield calls
 
 
 def assert_same_entries(got, want):
@@ -83,6 +149,40 @@ def test_products_match_per_scalar_oracle(operands):
     assert linalg.det(c) == oracle_det(c)
 
 
+@settings(max_examples=100, deadline=None)
+@given(operands())
+def test_eliminations_match_the_eager_oracles(operands):
+    """On square, rank-deficient, rectangular and augmented [c | I]
+    matrices: the same determinant, reduced row echelon form, kernel basis
+    and inverse as the oracles, and `det` inverts no more pivots."""
+    a, _, c = operands
+    field = c[0][0].field
+    deficient = c[:-1] + c[:1] if len(c) > 1 else ((field.zero(),),)
+    augmented = tuple(row + e for row, e in zip(c, linalg.identity(field, len(c))))
+    for m in (c, deficient):
+        with counted_inverses() as ours:
+            value = linalg.det(m)
+        with counted_inverses() as theirs:
+            expected = oracle_eliminating_det(m)
+        assert_same_entries(((value,),), ((expected,),))
+        assert len(ours) <= len(theirs)
+        with mock.patch.object(linalg, "rref", oracle_rref):
+            expected = linalg.mat_inv(m) if expected else None
+        if expected is None:
+            with pytest.raises(ZeroDivisionError, match="singular"):
+                linalg.mat_inv(m)
+        else:
+            assert_same_entries(linalg.mat_inv(m), expected)
+    for m in (c, deficient, a, tuple(zip(*a)), augmented):
+        echelon, pivots = linalg.rref(m)
+        expected, expected_pivots = oracle_rref(m)
+        assert pivots == expected_pivots
+        assert_same_entries(echelon, expected)
+        with mock.patch.object(linalg, "rref", oracle_rref):
+            expected = linalg.kernel_basis(m)
+        assert_same_entries(tuple(linalg.kernel_basis(m)), tuple(expected))
+
+
 def test_field_mismatch_raises():
     f3, f5 = cyclotomic_field(3), cyclotomic_field(5)
     a = linalg.identity(f3, 2)
@@ -99,6 +199,8 @@ def test_field_mismatch_raises():
 
 
 def test_det_of_monomial_matrix_inverts_no_pivot(monkeypatch):
+    """A pivot alone in its row is never inverted: not by `det`, `rref`
+    or `kernel_basis`."""
     field = cyclotomic_field(7)
     z, zero = field.zeta(), field.zero()
     diagonal = ((z, zero, zero), (zero, z ** 2, zero), (zero, zero, z ** 4))
@@ -108,7 +210,16 @@ def test_det_of_monomial_matrix_inverts_no_pivot(monkeypatch):
     assert expected == [field.one(), third * z ** 3]  # an even permutation
 
     def forbidden(*args):
-        raise AssertionError("pivot inverted with no row to eliminate")
+        raise AssertionError("pivot inverted with no entry to divide by it")
+
+    singular = ((z, zero, zero), (zero, zero, zero), (zero, third, zero))
+    echelons = [oracle_rref(m) for m in (diagonal, monomial, singular)]
 
     monkeypatch.setattr(cyclo.CycNum, "inverse", forbidden)
     assert [linalg.det(diagonal), linalg.det(monomial)] == expected
+    assert linalg.det(singular) == zero
+    for m, (echelon, pivots) in zip((diagonal, monomial, singular), echelons):
+        assert linalg.rref(m) == (echelon, pivots)
+    assert echelons[0][0] == echelons[1][0] == linalg.identity(field, 3)
+    assert [linalg.kernel_basis(m) for m in (diagonal, monomial)] == [[], []]
+    assert linalg.kernel_basis(singular) == [(zero, zero, field.one())]
