@@ -217,6 +217,17 @@ def cmd_ram(args) -> str:
     return _report(_group_block(group), body)
 
 
+def _positive_int(text: str) -> int:
+    """A `--max-order` value: an int of at least 1, else argparse's exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mckay",
@@ -227,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="group description file")
-        p.add_argument("--max-order", type=int, default=DEFAULT_CAP,
-                       help="closure cap on the number of elements (for "
-                       "toric commands, on the overlattice's box points)")
+        p.add_argument("--max-order", type=_positive_int, default=DEFAULT_CAP,
+                       help="closure cap on the number of elements, at least "
+                       "1 (for toric commands, on the overlattice's box points)")
         p.add_argument("--choice", choices=("standard", "inverse"),
                        default="standard",
                        help="'inverse' inverts every generator, realizing the "

@@ -10,10 +10,13 @@ equal-weight decomposition.  Equal weights are equal exponents, so the
 blocks are exactly the eigenspaces of g, and an element preserves every
 eigenspace of the diagonalizable g iff it commutes with g.  The stabilizer
 is therefore the centralizer C_G(g), read from the group's multiplication
-table without field arithmetic.  The ramification group is the subset of
-the stabilizer acting as diag(eps^{b_1},...,eps^{b_n}) for a single root of
-unity eps; only the stabilizer's members are conjugated into the eigenbasis
-to find it.
+table without field arithmetic.  The ramification group Ram is the set of
+elements acting as diag(eps^{b_1},...,eps^{b_n}) in g's eigenbasis for a
+single root of unity eps.  Since lambda -> diag(lambda^b) is injective,
+Ram is cyclic, and it contains g, so it lies in a maximal cyclic subgroup
+<x> through g.  Ram is read off the power walks of those x with integers
+only: on the eigenvectors of x, where x has the exponents a_i over its
+order R and g = x^m, every power x^j is diagonal with exponents a_i j.
 
 Since gcd(b) = 1, a diagonal d is such a diag(eps^b) iff
 d_i^{b_j} = d_j^{b_i} for every pair i < j: both sides are eps^{b_i b_j},
@@ -62,7 +65,6 @@ class EigenDecomposition:
     # eigenvector columns over Q(zeta_lcm(N, r)), aligned with the
     # (ascending) expression.exponents
     basis: linalg.Matrix
-    basis_inverse: linalg.Matrix
 
 
 @dataclass
@@ -105,7 +107,6 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
             columns.append(vec)
             exps.append(a)
     basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    basis_inverse = linalg.mat_inv(basis)
     # sanity: g * v = eigval * v for each column
     image = linalg.mat_mul(entries, basis)
     for j, a in enumerate(exps):
@@ -115,7 +116,7 @@ def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
                 f"eigenvector verification failed for element "
                 f"{group.describe(index)}"
             )
-    return EigenDecomposition(index, expr, basis, basis_inverse)
+    return EigenDecomposition(index, expr, basis)
 
 
 def _primitivize(exponents) -> tuple[int, ...]:
@@ -133,12 +134,6 @@ def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     return MonomialValuation(weights, index, decomposition)
 
 
-def _stabilizer_members(group: MatrixGroup, v: MonomialValuation) -> list[int]:
-    """Indices of the elements commuting with the source element of `v`."""
-    g = v.source_index
-    return [h for h in range(len(group)) if group.mul(h, g) == group.mul(g, h)]
-
-
 def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
     """Elements preserving the equal-weight eigenspace decomposition of the
     source element g of `v`.  These blocks are the eigenspaces of g, so the
@@ -149,10 +144,10 @@ def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
     joining T, and closes <T> under right multiplication by T; every
     element reached must be a member.  Every member is reached, so the
     members form the subgroup <T>, at |S| * |T| products."""
-    members = _stabilizer_members(group, v)
+    g = v.source_index
+    members = [h for h in range(len(group)) if group.mul(h, g) == group.mul(g, h)]
     member_set = set(members)
-    what = (f"stabilizer of the valuation of element "
-            f"{group.describe(v.source_index)}")
+    what = f"stabilizer of the valuation of element {group.describe(g)}"
     if 0 not in member_set:
         raise InternalInvariantError(f"{what} does not contain the identity")
     span, gens = {0}, []
@@ -174,7 +169,7 @@ def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
                     f"their product"
                 )
             span.add(y)
-            todo.extend((y, g) for g in gens)
+            todo.extend((y, t) for t in gens)
     return members
 
 
@@ -187,47 +182,37 @@ class RamificationGroup:
 
 def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
     """The cyclic subgroup acting as diag(eps^{b_1},...,eps^{b_n}) in the
-    eigenbasis; raises if the computed set fails to be cyclic.
+    eigenbasis of the source element g; raises if it fails to be cyclic.
 
-    It lies in the stabilizer, so only the stabilizer's members are
-    conjugated into the eigenbasis.  Each of them commutes with the source
-    element and must come out block diagonal; one that does not is an
-    internal error naming both elements.  A diagonal d is kept when
-    d_i^{b_j} = d_j^{b_i} for every pair i < j, which characterizes
-    diag(eps^b) only because the weights b are primitive."""
-    weights = v.weights
-    if gcd(*weights) != 1:
-        raise InternalInvariantError("weight vector is not primitive")
-    n = group.dimension
-    d = v.decomposition
-    field = d.basis[0][0].field
-    times_basis = linalg.RightMultiplier(d.basis)
-    what = (f"stabilizer of the valuation of element "
-            f"{group.describe(v.source_index)}")
-    members = []
-    for h in _stabilizer_members(group, v):
-        m = linalg.mat_mul(d.basis_inverse, times_basis(
-            linalg.mat_embed(group.elements[h].entries, field)))
-        if any(m[i][j] for i in range(n) for j in range(n)
-               if weights[i] != weights[j]):
-            raise InternalInvariantError(
-                f"{what} contains {group.describe(h)}, which is not block "
-                f"diagonal in the valuation's eigenbasis"
-            )
-        if any(m[i][j] for i in range(n) for j in range(n) if i != j):
+    For each maximal walk through g, with generator x of order R, g = x^m
+    and a_i the exponents of x: g has the exponents a_i m mod R, whose
+    primitivization b must be the valuation's weights (else an internal
+    error naming g and x).  By the pairwise criterion x^j is in Ram iff
+    j (a_i b_k - a_k b_i) = 0 mod R for every pair i < k, that is iff j is
+    a multiple of s = R / gcd(R, all a_i b_k - a_k b_i).  Each walk gives
+    the subgroup <x^s> of Ram, and the walk that contains Ram gives Ram."""
+    g = v.source_index
+    ram = set()
+    for subgroup in group.maximal_cyclic_subgroups():
+        if g not in subgroup.members:
             continue
-        if all(m[i][i] ** weights[j] == m[j][j] ** weights[i]
-               for i in range(n) for j in range(i + 1, n)):
-            members.append(h)
-    ram = sorted(members)
-    generator = next(
-        (h for h in ram if group.cyclic_subgroup(h) == set(ram)), None
-    )
+        x = subgroup.generator
+        walk = group.places[x][0]
+        R, a = len(walk), eigen_exponents(group, x).exponents
+        b = _primitivize(tuple(ai * walk.index(g) % R for ai in a))
+        if sorted(b) != sorted(v.weights):
+            raise InternalInvariantError(
+                f"element {group.describe(g)} has the weights "
+                f"{tuple(sorted(b))} on the walk of {group.describe(x)}, not "
+                f"the weights {tuple(sorted(v.weights))} of its valuation")
+        cross = gcd(R, *(a[i] * b[k] - a[k] * b[i]
+                         for i in range(len(a)) for k in range(i + 1, len(a))))
+        ram.update(walk[::R // cross])
+    ram = sorted(ram)
+    generator = next((h for h in ram if group.cyclic_subgroup(h) == set(ram)), None)
     if generator is None:
-        raise InternalInvariantError(
-            f"ramification group of the valuation of element "
-            f"{group.describe(v.source_index)} is not cyclic"
-        )
+        raise InternalInvariantError(f"ramification group of the valuation of "
+                                     f"element {group.describe(g)} is not cyclic")
     return RamificationGroup(ram, generator, len(ram))
 
 

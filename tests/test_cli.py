@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mckay import cli, linalg, toric, valuation
+from mckay import cli, linalg, toric
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
 from mckay.groupfile import GroupFile
@@ -323,8 +323,20 @@ def test_classes_on_a_cyclic_group_of_order_211(capsys, tmp_path):
 ])
 def test_stabilizer_that_is_no_subgroup_is_an_internal_error(
         capsys, monkeypatch, members, reason):
-    monkeypatch.setattr(valuation, "_stabilizer_members",
-                        lambda group, v: members(group))
+    # after closing, h * A equals A * h exactly for the listed h, so that
+    # they form the centralizer of the class-1 representative A
+    def tamper(group):
+        a, listed, real = group.classes[1].representative, set(members(group)), group.mul
+
+        def mul(i, j):
+            if j != a or i == a:
+                return real(i, j)
+            k = real(a, i)  # A * h, or A * A * h != A * h
+            return k if i in listed else real(a, k)
+
+        group.mul = mul
+
+    _tamper_after_closing(monkeypatch, tamper)
     code, out, err = run(capsys, "ram", "--class", "1", str(group_path("bd8")))
     assert (code, out) == (5, "")
     assert err == ("internal error: stabilizer of the valuation of element "
@@ -445,6 +457,18 @@ def test_max_order_cap_counts_identity_and_generators(capsys, tmp_path):
     assert out == ""
     assert "cap of 1" in err
     assert run_json(capsys, "info", str(path), "--max-order", "2")["group"]["order"] == 2
+
+
+@pytest.mark.parametrize("command", [["info"], ["toric", "box"]])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_order_below_1_is_refused_at_parse_time(capsys, command, cap):
+    # a cap that no closure can meet is a malformed flag: argparse's exit 2
+    with pytest.raises(SystemExit) as raised:
+        main([*command, str(group_path("cyclic_7_124")), "--max-order", cap])
+    captured = capsys.readouterr()
+    assert (raised.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        f"error: argument --max-order: must be at least 1, got {cap}\n")
 
 
 def test_output_is_sorted_and_stable(capsys):

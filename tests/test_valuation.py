@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,7 @@ from mckay.errors import InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file, parse_group_text
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
-from mckay.age import eigen_exponents
 from mckay.valuation import (
-    EigenDecomposition,
-    MonomialValuation,
     _monomials,
     _primitivize,
     eigen_decompose,
@@ -26,6 +24,7 @@ from mckay.valuation import (
 )
 
 from conftest import CORPUS, closed_group, group_path
+from test_age import unimodular_matrices
 from test_toric import diagonal_specs, spec_text
 
 
@@ -40,9 +39,9 @@ def test_eigen_decompose_bd8_b():
     dec = eigen_decompose(group, b)
     assert dec.expression.exponents == (1, 3)
     assert dec.expression.r == 4
-    # inverse really inverts the basis
-    product = linalg.mat_mul(dec.basis_inverse, dec.basis)
-    assert product == linalg.identity(group.field, 2)
+    # the eigenvectors form a basis
+    product = linalg.mat_mul(linalg.mat_inv(dec.basis), dec.basis)
+    assert product == linalg.identity(dec.basis[0][0].field, 2)
 
 
 def test_eigen_decompose_permutation():
@@ -106,11 +105,11 @@ def _corpus_group(name, choice):
 
 def _in_eigenbasis(group, v):
     """(h, the matrix of h in the eigenbasis of `v`) for every element h."""
-    d = v.decomposition
-    field = d.basis[0][0].field
+    basis = v.decomposition.basis
+    field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
     for h, element in enumerate(group.elements):
-        yield h, linalg.mat_mul(d.basis_inverse, linalg.mat_mul(
-            linalg.mat_embed(element.entries, field), d.basis))
+        yield h, linalg.mat_mul(basis_inverse, linalg.mat_mul(
+            linalg.mat_embed(element.entries, field), basis))
 
 
 def _block_diagonal_members(group, v):
@@ -141,21 +140,20 @@ def test_stab_equals_block_diagonal_scan_on_diagonal_groups(spec):
     _assert_stab_is_block_diagonal_scan(close_group(spec.matrices()))
 
 
-def test_ram_member_outside_the_block_structure_is_an_internal_error(
+def test_walk_weights_that_differ_from_the_valuation_are_an_internal_error(
         capsys, monkeypatch):
-    # <B> is a subgroup, so stab_group accepts it, but B does not commute
-    # with the class-1 representative A: exit 5, both elements named
-    group = closed_group("bd8")
-    b = group.generator_indices[1]
-    monkeypatch.setattr(valuation, "_stabilizer_members",
-                        lambda group, v: sorted(group.cyclic_subgroup(b)))
-    code = main(["ram", "--class", "1", str(group_path("bd8"))])
+    # -I = A^2 has the weights (1, 1); a valuation that claims (1, 3) for
+    # it disagrees with the first maximal walk through it, that of A:
+    # exit 5, both elements named
+    real = valuation.monomial_valuation
+    monkeypatch.setattr(valuation, "monomial_valuation", lambda group, index:
+                        replace(real(group, index), weights=(1, 3)))
+    code = main(["ram", "--class", "3", str(group_path("bd8"))])
     captured = capsys.readouterr()
     assert (code, captured.out) == (5, "")
     assert captured.err == (
-        "internal error: stabilizer of the valuation of element A (order 4) "
-        "contains B (order 4), which is not block diagonal in the "
-        "valuation's eigenbasis\n")
+        "internal error: element A^2 (order 2) has the weights (1, 1) on the "
+        "walk of A (order 4), not the weights (1, 3) of its valuation\n")
 
 
 def test_ram_is_subgroup_of_stab():
@@ -269,76 +267,139 @@ def test_eigen_decompose_of_a_diagonal_group_inverts_nothing(name, choice, monke
         with monkeypatch.context() as patch:
             patch.setattr(CycNum, "inverse", refuse)
             d = eigen_decompose(group, cls.representative)
-        assert linalg.mat_mul(d.basis, d.basis_inverse) == \
+        assert linalg.mat_mul(d.basis, linalg.mat_inv(d.basis)) == \
             linalg.identity(d.basis[0][0].field, group.dimension)
 
 
 @st.composite
-def _diagonals_and_weights(draw):
-    """(diag, weights): primitive nonnegative weights, zeros allowed, and a
-    diagonal of entries +-zeta_M^k; half of the diagonals are eps^b, some of
-    those with one entry then changed."""
+def _diagonal_groups(draw):
+    """A diagonal with entries 1 (so that weights can be zero) or
+    +-zeta_M^k, and half of the time a second one with entries +-1, so
+    that some groups are not cyclic."""
     field = cyclotomic_field(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12))))
     n = draw(st.integers(2, 4))
-    raw = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)
-               .filter(any))
-    weights = _primitivize(raw)
 
-    def root():
-        sign = draw(st.sampled_from((1, -1)))
-        return field.zeta(draw(st.integers(0, field.order - 1))) * sign
+    def diagonal(order):
+        diag = [field.one() if draw(st.booleans()) else
+                field.zeta(draw(st.integers(0, order - 1)) * field.order // order)
+                * draw(st.sampled_from((1, -1))) for _ in range(n)]
+        return tuple(tuple(diag[i] if i == j else field.zero() for j in range(n))
+                     for i in range(n))
 
-    if draw(st.booleans()):
-        eps = root()
-        diag = [eps ** w for w in weights]
-        if draw(st.booleans()):
-            diag[draw(st.integers(0, n - 1))] = root()
-    else:
-        diag = [root() for _ in range(n)]
-    return diag, weights
+    return close_group([diagonal(field.order)]
+                       + [diagonal(1)] * draw(st.integers(0, 1)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_diagonals_and_weights())
-def test_pairwise_criterion_equals_bezout_oracle(case):
-    # Ram of the cyclic group <d> for the weights b, in the standard basis:
-    # every power of d is kept exactly when its Bezout root reproduces it
-    diag, weights = case
-    field, n = diag[0].field, len(diag)
-    matrix = tuple(tuple(diag[i] if i == j else field.zero() for j in range(n))
-                   for i in range(n))
-    group = close_group([matrix])
-    v = monomial_valuation_from_weights(group, weights)
-    members = set(ram_group(group, v).members)
-    for h, element in enumerate(group.elements):
-        entries = [element.entries[i][i] for i in range(n)]
-        assert (h in members) == _is_eps_power(entries, weights)
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_groups())
+def test_pairwise_criterion_equals_bezout_oracle(group):
+    # in the standard basis, Ram of each element's valuation holds exactly
+    # the elements whose Bezout root reproduces them
+    for g in range(1, len(group)):
+        v = monomial_valuation(group, g)
+        assert ram_group(group, v).members == _bezout_ram_members(group, v)
 
 
-def monomial_valuation_from_weights(group, weights):
-    """A monomial valuation in the standard coordinates, for weightings not
-    tied to a group element (the eigenbasis is the identity).  Its source
-    element is the identity, whose centralizer is the whole group: the
-    stabilizer only for a weighting with all weights equal."""
-    if len(weights) != group.dimension or any(w < 0 for w in weights):
-        raise RequirementError("weights must be nonnegative of length n")
-    weights = _primitivize(weights)
-    ident = linalg.identity(group.field, group.dimension)
-    decomposition = EigenDecomposition(0, eigen_exponents(group, 0), ident, ident)
-    return MonomialValuation(weights, 0, decomposition)
+def oracle_ram_group(group, v):
+    """`ram_group` as it was before the power walks: every member of the
+    stabilizer conjugated into the eigenbasis, checked block diagonal, and
+    kept when its diagonal passes the pairwise criterion by field powers."""
+    weights, n = v.weights, group.dimension
+    basis = v.decomposition.basis
+    field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
+    times_basis = linalg.RightMultiplier(basis)
+    members = []
+    for h in stab_group(group, v):
+        m = linalg.mat_mul(basis_inverse, times_basis(
+            linalg.mat_embed(group.elements[h].entries, field)))
+        assert not any(m[i][j] for i in range(n) for j in range(n)
+                       if weights[i] != weights[j])
+        if any(m[i][j] for i in range(n) for j in range(n) if i != j):
+            continue
+        if all(m[i][i] ** weights[j] == m[j][j] ** weights[i]
+               for i in range(n) for j in range(i + 1, n)):
+            members.append(h)
+    generator = next(h for h in members
+                     if group.cyclic_subgroup(h) == set(members))
+    return valuation.RamificationGroup(members, generator, len(members))
+
+
+def _assert_ram_matches_oracle(group):
+    for cls in group.classes:
+        if cls.representative != 0:
+            v = monomial_valuation(group, cls.representative)
+            assert ram_group(group, v) == oracle_ram_group(group, v)
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_ram_equals_the_conjugation_oracle_on_corpus(name, choice):
+    _assert_ram_matches_oracle(_corpus_group(name, choice))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=diagonal_specs(max_index=24, max_order=8, sl=None))
+def test_ram_equals_the_conjugation_oracle_on_diagonal_groups(spec):
+    _assert_ram_matches_oracle(close_group(spec.matrices()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ram_equals_the_conjugation_oracle_off_the_diagonal(data):
+    # P^-1 D P: the eigenbasis is dense, and each power walk's exponents
+    # come from the characteristic polynomial of a dense generator
+    spec = data.draw(diagonal_specs(max_index=24, max_order=8, sl=None))
+    diagonal = spec.matrices()
+    field = diagonal[0][0][0].field
+    p = tuple(tuple(field.from_rational(c) for c in row)
+              for row in data.draw(unimodular_matrices(spec.n)))
+    p_inv = linalg.mat_inv(p)
+    _assert_ram_matches_oracle(close_group(
+        [linalg.mat_mul(linalg.mat_mul(p_inv, d), p) for d in diagonal]))
+
+
+def test_ram_reads_integers_off_the_walks(monkeypatch):
+    # class 1 of (1/211)(1,2,208): no member is conjugated into the
+    # eigenbasis and no diagonal entry is raised to a weight
+    group = _diag_group(3, [(211, (1, 2, 208))])
+    v = monomial_valuation(group, group.classes[1].representative)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ram_group did matrix or power work")
+
+    monkeypatch.setattr(CycNum, "__pow__", refuse)
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(linalg.RightMultiplier, "__call__", refuse)
+    assert ram_group(group, v).degree == 211
+
+
+@pytest.mark.parametrize("generators", [
+    ((4, (1, 0)), (2, (0, 1))),  # Ram is the first walk through g
+    ((4, (1, 2)), (4, (1, 0))),  # Ram is the second walk through g
+])
+def test_ram_is_read_off_whichever_walk_holds_it(generators):
+    # g = (1/4)(2, 0) lies in the walks of (1/4)(1, 0) and (1/4)(1, 2),
+    # and Ram, the elements (1/4)(a, 0), is the first of them
+    spec, group = _spec_and_group(2, generators)
+    vector = [spec.word_vector(element.word) for element in group.elements]
+    g = vector.index((2, 0))
+    assert sum(g in s.members for s in group.maximal_cyclic_subgroups()) == 2
+    ram = ram_group(group, monomial_valuation(group, g))
+    assert ram.members == [h for h, e in enumerate(vector) if e[1] == 0]
 
 
 def test_valuation_from_weights():
+    # -I in bd8: all weights equal, so Stab is the whole group and Ram the
+    # scalars {I, -I}
     group = closed_group("bd8")
-    v = monomial_valuation_from_weights(group, (1, 1))
+    minus_one = next(i for i in range(1, len(group))
+                     if group.elements[i].order == 2)
+    v = monomial_valuation(group, minus_one)
     assert v.weights == (1, 1)
     assert len(stab_group(group, v)) == 8
     ram = ram_group(group, v)
-    assert ram.degree == 2  # the scalars {1, -1}
-    with pytest.raises(RequirementError):
-        monomial_valuation_from_weights(group, (0, 0))
-    with pytest.raises(RequirementError):
-        monomial_valuation_from_weights(group, (1, -1))
+    assert ram.degree == 2
+    assert ram.members == [0, minus_one]
 
 
 def test_quotient_discrepancy():
