@@ -47,7 +47,6 @@ from .toric import (
 )
 from .valuation import (
     MonomialValuation,
-    eigen_decompose,
     monomial_valuation,
     quotient_discrepancy,
     ram_group,

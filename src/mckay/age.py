@@ -118,11 +118,16 @@ def _expression(group: MatrixGroup, index: int, by_generator,
     return FractionalExpression(r, tuple(exponents))
 
 
-def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
+def eigen_exponents(group: MatrixGroup, index: int,
+                    by_generator: dict | None = None) -> FractionalExpression:
     """Exponents (with multiplicity) of the element's eigenvalues as powers of
     zeta_r = zeta_L^(L/r), r its order, L = lcm(N, r), zeta_L^(L/N) = zeta_N
-    of the group's field; read from the characteristic polynomial of its walk."""
-    return _expression(group, index, {}, lambda i: group.elements[i].trace())
+    of the group's field; read from the characteristic polynomial of its walk.
+    `by_generator`, if given, maps walk generators to their exponents: read
+    from it, and filled with each polynomial built, so that calls sharing it
+    build one polynomial per walk."""
+    return _expression(group, index, {} if by_generator is None else by_generator,
+                       lambda i: group.elements[i].trace())
 
 
 @dataclass

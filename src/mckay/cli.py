@@ -194,10 +194,11 @@ def cmd_ram(args) -> str:
             ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))
             for m, v in sorted(fingerprint.items())
         }
-    v = valuation.monomial_valuation(group, rep)
-    expr = v.decomposition.expression
+    by_generator = {}  # one characteristic polynomial per walk
+    v = valuation.monomial_valuation(group, rep, by_generator)
+    expr = v.expression
     stab = valuation.stab_group(group, v)
-    ram = valuation.ram_group(group, v)
+    ram = valuation.ram_group(group, v, by_generator)
     a_f = sum(expr.exponents) - 1
     a_e = valuation.quotient_discrepancy(a_f, ram.degree)
     body.update({

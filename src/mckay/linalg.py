@@ -4,9 +4,7 @@ Matrices are tuples of row tuples of CycNum.  Each product entry is one
 call of the integer kernel `cyclo._dot`, and `RightMultiplier` extracts the
 numerator terms of a fixed right factor once.  `det`, `rref`,
 `kernel_basis` and `mat_inv` run on one elimination, `_eliminate`, which
-inverts a pivot only when an entry must be divided by it.  Entries are
-exact at any size; the dimension family reaches n = 1000, where each
-g - zeta^a*I is diagonal and its kernel costs no inverse.
+inverts a pivot only when an entry must be divided by it.
 """
 
 from __future__ import annotations

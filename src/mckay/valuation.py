@@ -1,12 +1,13 @@
 """Monomial valuations and their stabilizer / ramification subgroups.
 
-An element g of order r, diagonalized exactly over Q(zeta_lcm(N, r)) with
-Q(zeta_N) the group's field, yields the weighting beta = (b_1,...,b_n) on
-its eigencoordinates, its exponents divided by their gcd, and the monomial
-valuation x_i -> b_i.
+An element g of order r has the eigenvalues zeta_r^(a_i), and its exponents
+a_i are read off the characteristic polynomial of its power walk (`age`),
+checked against the power sums Tr(g^k).  They yield the weighting
+beta = (b_1,...,b_n) on g's eigencoordinates, the exponents divided by their
+gcd, and the monomial valuation x_i -> b_i.  No eigenbasis is computed.
 
 The stabilizer is the set of elements block diagonal with respect to the
-equal-weight decomposition.  Equal weights are equal exponents, so the
+equal-weight blocks.  Equal weights are equal exponents, so the
 blocks are exactly the eigenspaces of g, and an element preserves every
 eigenspace of the diagonalizable g iff it commutes with g.  The stabilizer
 is therefore the centralizer C_G(g), read from the group's multiplication
@@ -29,11 +30,11 @@ d_i^{b_j} = 1 for all j, hence d_i = 1, with no special case.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from . import linalg
 from .age import FractionalExpression, eigen_exponents
 from .cyclo import cyclotomic_field
 from .errors import InternalInvariantError, ProbeCapError, RequirementError
@@ -59,64 +60,10 @@ def default_probe_degree(group: MatrixGroup) -> int:
 
 
 @dataclass
-class EigenDecomposition:
-    element_index: int
-    expression: FractionalExpression
-    # eigenvector columns over Q(zeta_lcm(N, r)), aligned with the
-    # (ascending) expression.exponents
-    basis: linalg.Matrix
-
-
-@dataclass
 class MonomialValuation:
-    weights: tuple[int, ...]  # primitive, in the eigenbasis order
+    weights: tuple[int, ...]  # primitive, in the order of expression.exponents
     source_index: int
-    decomposition: EigenDecomposition
-
-
-def eigen_decompose(group: MatrixGroup, index: int) -> EigenDecomposition:
-    """Exact eigendecomposition via kernels of (g - zeta_r^a * I), with g
-    embedded into Q(zeta_lcm(N, r)); kernel dimensions are cross-checked
-    against the characteristic-polynomial multiplicities."""
-    expr = eigen_exponents(group, index)
-    r = group.elements[index].order
-    field = cyclotomic_field(lcm(group.field.order, r))
-    entries = linalg.mat_embed(group.elements[index].entries, field)
-    step = field.order // r
-    n = group.dimension
-    columns = []
-    exps = []
-    for a in sorted(set(expr.exponents)):
-        eigval = field.zeta(step * a)
-        shifted = tuple(
-            tuple(
-                entries[i][j] - (eigval if i == j else field.zero())
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        kernel = linalg.kernel_basis(shifted)
-        expected = sum(1 for e in expr.exponents if e == a)
-        if len(kernel) != expected:
-            raise InternalInvariantError(
-                f"kernel dimension {len(kernel)} for exponent {a} of element "
-                f"{group.describe(index)} does not match characteristic-polynomial "
-                f"multiplicity {expected}"
-            )
-        for vec in kernel:
-            columns.append(vec)
-            exps.append(a)
-    basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    # sanity: g * v = eigval * v for each column
-    image = linalg.mat_mul(entries, basis)
-    for j, a in enumerate(exps):
-        eigval = field.zeta(step * a)
-        if any(image[i][j] != eigval * basis[i][j] for i in range(n)):
-            raise InternalInvariantError(
-                f"eigenvector verification failed for element "
-                f"{group.describe(index)}"
-            )
-    return EigenDecomposition(index, expr, basis)
+    expression: FractionalExpression
 
 
 def _primitivize(exponents) -> tuple[int, ...]:
@@ -126,16 +73,31 @@ def _primitivize(exponents) -> tuple[int, ...]:
     return tuple(a // g for a in exponents)
 
 
-def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
+def monomial_valuation(group: MatrixGroup, index: int,
+                       by_generator: dict | None = None) -> MonomialValuation:
     """The monomial valuation attached to a group element through its
-    eigenvalue exponents, primitivized to a lattice-primitive weighting."""
-    decomposition = eigen_decompose(group, index)
-    weights = _primitivize(decomposition.expression.exponents)
-    return MonomialValuation(weights, index, decomposition)
+    eigenvalue exponents, primitivized to a lattice-primitive weighting;
+    `by_generator` is as in `eigen_exponents`.
+
+    The exponents a_i of g, of order r, must give the power sums
+    sum_i zeta_r^(k a_i) = Tr(g^k) for k = 1..min(n, r - 1).  Both sides
+    have period r in k and equal n at k = 0, so these k give p_1..p_n, and
+    by Newton's identities p_1..p_n fix the multiset of n eigenvalues."""
+    expr = eigen_exponents(group, index, by_generator)
+    field = cyclotomic_field(lcm(group.field.order, expr.r))
+    step = field.order // expr.r
+    for k in range(1, min(group.dimension, expr.r - 1) + 1):
+        power_sum = field.element(Counter(step * k * a for a in expr.exponents))
+        if power_sum != group.elements[group.power(index, k)].trace().embed(field):
+            raise InternalInvariantError(
+                f"the eigenvalues derived for element {group.describe(index)}, "
+                f"raised to the power {k}, do not sum to the trace of its "
+                f"power {k}")
+    return MonomialValuation(_primitivize(expr.exponents), index, expr)
 
 
 def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
-    """Elements preserving the equal-weight eigenspace decomposition of the
+    """Elements preserving the equal-weight block structure of the
     source element g of `v`.  These blocks are the eigenspaces of g, so the
     stabilizer is the centralizer C_G(g), found from the multiplication
     table; it is verified to form a subgroup.
@@ -180,9 +142,11 @@ class RamificationGroup:
     degree: int
 
 
-def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
+def ram_group(group: MatrixGroup, v: MonomialValuation,
+              by_generator: dict | None = None) -> RamificationGroup:
     """The cyclic subgroup acting as diag(eps^{b_1},...,eps^{b_n}) in the
     eigenbasis of the source element g; raises if it fails to be cyclic.
+    `by_generator` is as in `eigen_exponents`.
 
     For each maximal walk through g, with generator x of order R, g = x^m
     and a_i the exponents of x: g has the exponents a_i m mod R, whose
@@ -198,7 +162,7 @@ def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
             continue
         x = subgroup.generator
         walk = group.places[x][0]
-        R, a = len(walk), eigen_exponents(group, x).exponents
+        R, a = len(walk), eigen_exponents(group, x, by_generator).exponents
         b = _primitivize(tuple(ai * walk.index(g) % R for ai in a))
         if sorted(b) != sorted(v.weights):
             raise InternalInvariantError(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mckay import cli, linalg, toric
+from mckay import cli, toric
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER
 from mckay.groupfile import GroupFile
@@ -248,17 +248,6 @@ def test_ram_default_probe_fits_the_monomial_limit(capsys, tmp_path):
     assert data["probe_degree"] == 82
 
 
-def test_internal_error_names_the_element(capsys, monkeypatch):
-    # a kernel of the wrong dimension is an invariant failure: exit 5, the
-    # message names the element being diagonalized, stdout stays empty
-    monkeypatch.setattr(linalg, "kernel_basis", lambda m: [])
-    code, out, err = run(capsys, "ram", "--class", "1", str(group_path("bd8")))
-    assert (code, out) == (5, "")
-    assert err == ("internal error: kernel dimension 0 for exponent 1 of "
-                   "element A (order 4) does not match "
-                   "characteristic-polynomial multiplicity 1\n")
-
-
 def _tamper_after_closing(monkeypatch, tamper):
     """Make `GroupFile.close` hand the CLI a group changed by `tamper`."""
     real_close = GroupFile.close
@@ -286,6 +275,26 @@ def test_eigenvalues_that_miss_the_trace_are_an_internal_error(capsys, monkeypat
     assert (code, out) == (5, "")
     assert err == ("internal error: the eigenvalues derived for element g1^4 "
                    "(order 7) do not sum to its trace\n")
+
+
+def test_internal_error_names_the_element(capsys, monkeypatch):
+    # swap the matrices of x^4 and x^5 for x = g1 in (1/7)(1,2,4): past the
+    # traces Tr(x^k), k <= 3, of the characteristic polynomial, and with
+    # the sum of all traces kept, so the polynomial splits.  g = x^2 keeps
+    # its trace, but g^2 = x^4 now holds the trace of x^5: the power sum at
+    # k = 2 is an invariant failure, exit 5, naming g, stdout empty
+    def swap(group):
+        x = group.generator_indices[0]
+        a, b = (group.elements[group.power(x, k)] for k in (4, 5))
+        a.entries, b.entries = b.entries, a.entries
+
+    _tamper_after_closing(monkeypatch, swap)
+    code, out, err = run(capsys, "ram", "--class", "2",
+                         str(group_path("cyclic_7_124")))
+    assert (code, out) == (5, "")
+    assert err == ("internal error: the eigenvalues derived for element g1^2 "
+                   "(order 7), raised to the power 2, do not sum to the trace "
+                   "of its power 2\n")
 
 
 def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(

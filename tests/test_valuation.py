@@ -1,11 +1,13 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay import linalg, valuation
+from mckay import age, linalg, valuation
+from mckay.age import FractionalExpression, eigen_exponents
 from mckay.cli import main
 from mckay.cyclo import CycNum, cyclotomic_field
 from mckay.errors import InternalInvariantError, RequirementError
@@ -15,7 +17,6 @@ from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import (
     _monomials,
     _primitivize,
-    eigen_decompose,
     monomial_valuation,
     quotient_discrepancy,
     ram_group,
@@ -24,13 +25,48 @@ from mckay.valuation import (
 )
 
 from conftest import CORPUS, closed_group, group_path
-from test_age import unimodular_matrices
+from test_age import _counted_walks, unimodular_matrices
 from test_toric import diagonal_specs, spec_text
 
 
 def _diag_group(n, generators):
     spec = DiagonalGroupSpec(n, tuple(generators))
     return close_group(spec.matrices())
+
+
+@dataclass
+class EigenDecomposition:
+    expression: FractionalExpression
+    # eigenvector columns over Q(zeta_lcm(N, r)), aligned with the
+    # (ascending) expression.exponents
+    basis: linalg.Matrix
+
+
+def eigen_decompose(group, index):
+    """The eigenbasis `monomial_valuation` computed before it read the
+    exponents off the power walks alone: kernels of (g - zeta_r^a * I), with
+    g embedded into Q(zeta_lcm(N, r)), whose dimensions must be the
+    exponents' multiplicities, and g * v = zeta_r^a * v on every column."""
+    expr = eigen_exponents(group, index)
+    r = group.elements[index].order
+    field = cyclotomic_field(lcm(group.field.order, r))
+    entries = linalg.mat_embed(group.elements[index].entries, field)
+    step = field.order // r
+    n = group.dimension
+    columns, exps = [], []
+    for a in sorted(set(expr.exponents)):
+        eigval = field.zeta(step * a)
+        shifted = tuple(tuple(entries[i][j] - (eigval if i == j else field.zero())
+                              for j in range(n)) for i in range(n))
+        kernel = linalg.kernel_basis(shifted)
+        assert len(kernel) == expr.exponents.count(a)
+        columns += kernel
+        exps += [a] * len(kernel)
+    basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+    image = linalg.mat_mul(entries, basis)
+    assert all(image[i][j] == field.zeta(step * a) * basis[i][j]
+               for j, a in enumerate(exps) for i in range(n))
+    return EigenDecomposition(expr, basis)
 
 
 def test_eigen_decompose_bd8_b():
@@ -58,6 +94,48 @@ def test_monomial_valuation_primitivizes():
     v = monomial_valuation(group, g)
     assert group.elements[g].order == 2
     assert v.weights == (1, 1)
+
+
+def test_power_sums_are_checked_up_to_the_dimension():
+    # swap the matrices of x^5 and x^6 for x = g1 in (1/7)(1,1,5), past the
+    # traces Tr(x^k), k <= 3, of its walk polynomial: g = x^4 keeps Tr(g)
+    # and Tr(g^2) = Tr(x), but g^3 = x^5 now holds the trace of x^6
+    group = _diag_group(3, [(7, (1, 1, 5))])
+    x = group.generator_indices[0]
+    a, b = (group.elements[group.power(x, k)] for k in (5, 6))
+    a.entries, b.entries = b.entries, a.entries
+    with pytest.raises(InternalInvariantError, match=r"^the eigenvalues derived "
+                       r"for element g1\^4 \(order 7\), raised to the power 3,"):
+        monomial_valuation(group, group.power(x, 4))
+
+
+def test_power_sums_reject_exponents_that_only_match_the_trace(monkeypatch):
+    # diag(1, i, -1, -i) has the exponents (0, 1, 2, 3) over 4; (0, 0, 2, 2)
+    # has the same trace 0, but its squares sum to 4, not to Tr(g^2) = 0
+    group = _diag_group(4, [(4, (0, 1, 2, 3))])
+    monkeypatch.setattr(age, "_walk_exponents",
+                        lambda group, walk, trace: [0, 0, 2, 2])
+    with pytest.raises(InternalInvariantError, match="raised to the power 2,"):
+        monomial_valuation(group, group.generator_indices[0])
+
+
+def test_valuation_of_the_dimension_family_makes_linear_work(monkeypatch):
+    # one order-3 generator with exponents (1, 2, 0, ..., 0) in dimension
+    # 200: the valuation reads 3 walk traces and 3 power traces, about one
+    # field addition per diagonal entry of each, where the eigenbasis took
+    # 40003 products and 120003 subtractions
+    n = 200
+    group = _diag_group(n, [(3, (1, 2) + (0,) * (n - 2))])
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__"):
+        def counted(x, y, real=getattr(CycNum, name)):
+            calls.append(x)
+            return real(x, y)
+
+        monkeypatch.setattr(CycNum, name, counted)
+    v = monomial_valuation(group, group.generator_indices[0])
+    assert v.weights == (0,) * (n - 2) + (1, 2)
+    assert len(calls) < 8 * n
 
 
 def test_monomial_valuation_rejects_identity():
@@ -105,7 +183,7 @@ def _corpus_group(name, choice):
 
 def _in_eigenbasis(group, v):
     """(h, the matrix of h in the eigenbasis of `v`) for every element h."""
-    basis = v.decomposition.basis
+    basis = eigen_decompose(group, v.source_index).basis
     field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
     for h, element in enumerate(group.elements):
         yield h, linalg.mat_mul(basis_inverse, linalg.mat_mul(
@@ -146,8 +224,8 @@ def test_walk_weights_that_differ_from_the_valuation_are_an_internal_error(
     # it disagrees with the first maximal walk through it, that of A:
     # exit 5, both elements named
     real = valuation.monomial_valuation
-    monkeypatch.setattr(valuation, "monomial_valuation", lambda group, index:
-                        replace(real(group, index), weights=(1, 3)))
+    monkeypatch.setattr(valuation, "monomial_valuation", lambda *args:
+                        replace(real(*args), weights=(1, 3)))
     code = main(["ram", "--class", "3", str(group_path("bd8"))])
     captured = capsys.readouterr()
     assert (code, captured.out) == (5, "")
@@ -245,30 +323,16 @@ def test_ram_equals_bezout_oracle_on_corpus(name, choice):
 @pytest.mark.parametrize("choice", ["standard", "inverse"])
 @pytest.mark.parametrize("name", CORPUS)
 def test_ram_makes_no_field_inversion(name, choice, monkeypatch):
+    # the whole valuation path, from the walk polynomials to Ram
     def refuse(self):
-        raise AssertionError("ram_group inverted a field element")
-
-    for group, v in _corpus_valuations(name, choice):
-        with monkeypatch.context() as patch:
-            patch.setattr(CycNum, "inverse", refuse)
-            ram_group(group, v)
-
-
-@pytest.mark.parametrize("choice", ["standard", "inverse"])
-@pytest.mark.parametrize("name", ["cyclic_7_124", "terminal_5_1423"])
-def test_eigen_decompose_of_a_diagonal_group_inverts_nothing(name, choice, monkeypatch):
-    # each g - zeta^a * I is diagonal, so every pivot is alone in its row,
-    # and the eigenbasis is a permutation matrix, whose pivots are 1
-    def refuse(self):
-        raise AssertionError("eigen_decompose inverted a field element")
+        raise AssertionError("the valuation path inverted a field element")
 
     group = _corpus_group(name, choice)
+    monkeypatch.setattr(CycNum, "inverse", refuse)
     for cls in group.classes[1:]:
-        with monkeypatch.context() as patch:
-            patch.setattr(CycNum, "inverse", refuse)
-            d = eigen_decompose(group, cls.representative)
-        assert linalg.mat_mul(d.basis, linalg.mat_inv(d.basis)) == \
-            linalg.identity(d.basis[0][0].field, group.dimension)
+        v = monomial_valuation(group, cls.representative)
+        stab_group(group, v)
+        ram_group(group, v)
 
 
 @st.composite
@@ -305,7 +369,7 @@ def oracle_ram_group(group, v):
     stabilizer conjugated into the eigenbasis, checked block diagonal, and
     kept when its diagonal passes the pairwise criterion by field powers."""
     weights, n = v.weights, group.dimension
-    basis = v.decomposition.basis
+    basis = eigen_decompose(group, v.source_index).basis
     field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
     times_basis = linalg.RightMultiplier(basis)
     members = []
@@ -356,6 +420,17 @@ def test_ram_equals_the_conjugation_oracle_off_the_diagonal(data):
     p_inv = linalg.mat_inv(p)
     _assert_ram_matches_oracle(close_group(
         [linalg.mat_mul(linalg.mat_mul(p_inv, d), p) for d in diagonal]))
+
+
+def test_ram_builds_one_polynomial_per_walk(capsys, monkeypatch, tmp_path):
+    # class 1 of (1/211)(1,2,208) generates the one walk; the valuation and
+    # Ram share its characteristic polynomial
+    path = tmp_path / "cyclic211.grp"
+    path.write_text("format diagonal\ndimension 3\ngenerator 211 : 1 2 208\n")
+    walks = _counted_walks(monkeypatch)
+    assert main(["ram", "--class", "1", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(walks) == 1
 
 
 def test_ram_reads_integers_off_the_walks(monkeypatch):
@@ -484,8 +559,12 @@ def test_word_vectors_and_fingerprints_match_the_scan(spec):
         L = group.field.order
         assert s.exponent_vectors()[0] == L
         for i in range(1, len(group)):
-            assert s.word_vector(group.elements[i].word) == \
-                _scan_diagonal_exponents(group, i)
+            vector = s.word_vector(group.elements[i].word)
+            assert vector == _scan_diagonal_exponents(group, i)
+            # the walk polynomial agrees with the spec's integer vector
+            step = L // group.elements[i].order
+            assert monomial_valuation(group, i).expression.exponents == \
+                tuple(sorted(e // step for e in vector))
             for probe in range(1, 7):
                 assert valuation_fingerprint(s, group, i, probe) == \
                     _scan_fingerprint(group, i, probe)
