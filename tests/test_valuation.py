@@ -335,6 +335,23 @@ def test_ram_makes_no_field_inversion(name, choice, monkeypatch):
         ram_group(group, v)
 
 
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", ["cyclic_7_124", "terminal_5_1423"])
+def test_eigen_decompose_of_a_diagonal_group_inverts_nothing(name, choice, monkeypatch):
+    # each g - zeta^a * I is diagonal, so every pivot is alone in its row,
+    # and the eigenbasis is a permutation matrix, whose pivots are 1
+    def refuse(self):
+        raise AssertionError("eigen_decompose inverted a field element")
+
+    group = _corpus_group(name, choice)
+    for cls in group.classes[1:]:
+        with monkeypatch.context() as patch:
+            patch.setattr(CycNum, "inverse", refuse)
+            d = eigen_decompose(group, cls.representative)
+        assert linalg.mat_mul(d.basis, linalg.mat_inv(d.basis)) == \
+            linalg.identity(d.basis[0][0].field, group.dimension)
+
+
 @st.composite
 def _diagonal_groups(draw):
     """A diagonal with entries 1 (so that weights can be zero) or
