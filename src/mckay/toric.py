@@ -3,10 +3,12 @@ discrepancies, and crepant toric resolutions in dimensions 2 and 3.
 
 Every point of the overlattice has coordinates over one denominator D, the
 exponent of the group, so a box point p is kept as the integer vector
-P = D*p with entries in [0, D).  The scan adds the generators' step vectors
-mod D, the age of p is sum(P)/D, and the junior points are those with
-sum(P) = D.  `Fraction` points are built only for output: `box_points`,
-`junior_points`, the condition (i) witness and the resolution's vertices.
+P = D*p with entries in [0, D).  The box is the group, built one cyclic
+factor at a time: each generator's step adds the cosets of the subgroup
+found so far, so every point is computed once.  The age of p is sum(P)/D,
+and the junior points are those with sum(P) = D.  `Fraction` points are
+built only for output (`box_points`, `junior_points`, the condition (i)
+witness and the resolution's vertices), each c/D once per lattice.
 
 The n = 3 resolution charts the lattice points of the junior triangle into
 an affine Z^2 and triangulates by point insertion, locating each point by a
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import getitem
 
 from .cyclo import cyclotomic_field
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
@@ -89,8 +92,11 @@ class BoxPoint:
 
 class OverLattice:
     """L = Z^n + sum Z*g_i with the box points L intersected with [0,1)^n,
-    the elements of the diagonal group: like close_group, the scan raises
-    ClosureCapError past `cap` of them.
+    the elements of the diagonal group.  The scan adds, for each step s,
+    the cosets H + s, H + 2s, ... of the subgroup H of the earlier steps
+    until a multiple of s falls in H.  Like close_group it raises
+    ClosureCapError past `cap` points, checked before each coset is built,
+    so it never holds more than `cap`.
 
     `scaled_points` are the box points times `denominator`, as integer
     vectors in lexicographic order; `box_points` is their `Fraction` view.
@@ -105,29 +111,44 @@ class OverLattice:
         g = gcd(d, *(a for step in steps for a in step))
         self.denominator = den = d // g
         steps = [tuple(a // g for a in step) for step in steps]
+        if cap < 1:
+            raise ClosureCapError(cap)
         found = [(0,) * self.n]
         points = set(found)
-        # `found` grows during the scan, so this is a breadth-first search
-        for p in found:
-            if len(found) > cap:
-                raise ClosureCapError(cap)
-            for step in steps:
-                q = tuple((a + b) % den for a, b in zip(p, step))
-                if q not in points:
-                    points.add(q)
-                    found.append(q)
+        wrap = list(range(den)) * 2
+        # found[:size] is H; the first multiple t of step in `points` is
+        # the first in H, since js in H + is, 0 < i < j, puts (j-i)s in H
+        for step in steps:
+            size, t = len(found), step
+            while t not in points:
+                if len(found) + size > cap:
+                    raise ClosureCapError(cap)
+                shift = [wrap[c:c + den] for c in t]  # shift[i][a] = a + t_i mod D
+                coset = [tuple(map(getitem, shift, h)) for h in found[:size]]
+                found += coset
+                points.update(coset)
+                t = tuple(map(getitem, shift, step))
         self._point_set = points
         self.scaled_points = sorted(points)
         self.index = len(points)
+        self._fractions = {}
 
     @cached_property
     def box_points(self) -> list[BoxPoint]:
-        den = self.denominator
         return [
-            BoxPoint(_fraction_point(p, den), Fraction(sum(p), den),
+            BoxPoint(self._fraction_point(p), self._fraction(sum(p)),
                      self._is_primitive(p))
             for p in self.scaled_points
         ]
+
+    def _fraction(self, c: int) -> Fraction:
+        """c / denominator, one Fraction per numerator and lattice."""
+        if c not in self._fractions:
+            self._fractions[c] = Fraction(c, self.denominator)
+        return self._fractions[c]
+
+    def _fraction_point(self, scaled: tuple[int, ...]) -> Point:
+        return tuple(map(self._fraction, scaled))
 
     def _is_primitive(self, scaled: tuple[int, ...]) -> bool:
         # p/m lies in L only if m divides every entry of P = D*p, and then so
@@ -154,10 +175,6 @@ def _prime_factors(m: int):
         yield m
 
 
-def _fraction_point(scaled: tuple[int, ...], den: int) -> Point:
-    return tuple(Fraction(c, den) for c in scaled)
-
-
 def build_lattice(spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP) -> OverLattice:
     return OverLattice(spec, cap)
 
@@ -176,7 +193,7 @@ def _juniors(lattice: OverLattice) -> list[tuple[int, ...]]:
 
 def junior_points(lattice: OverLattice) -> list[Point]:
     """Box points on the hyperplane sum = 1, in lexicographic order."""
-    return [_fraction_point(p, lattice.denominator) for p in _juniors(lattice)]
+    return [lattice._fraction_point(p) for p in _juniors(lattice)]
 
 
 def crepant_divisor_count(lattice: OverLattice) -> int:
@@ -240,7 +257,7 @@ def condition_i(lattice: OverLattice) -> ConditionWitness:
         if age % den:
             raise InternalInvariantError("SL box point with non-integer age")
         if age > den and not _dominates_one(juniors, p):
-            return ConditionWitness(False, _fraction_point(p, den))
+            return ConditionWitness(False, lattice._fraction_point(p))
     return ConditionWitness(True, None)
 
 
@@ -302,7 +319,7 @@ def _scaled_unit_vectors(n: int, den: int) -> list[tuple[int, ...]]:
 def _resolve_dim2(lattice: OverLattice) -> JuniorTriangulation:
     den = lattice.denominator
     scaled = _scaled_unit_vectors(2, den) + _juniors(lattice)
-    vertices = [_fraction_point(p, den) for p in scaled]
+    vertices = [lattice._fraction_point(p) for p in scaled]
     # order along the segment e1 -> e2 by decreasing first coordinate
     chain = [0] + sorted(
         range(2, len(scaled)), key=lambda i: scaled[i][0], reverse=True
@@ -377,7 +394,7 @@ def _resolve_dim3(lattice: OverLattice) -> JuniorTriangulation:
     den = lattice.denominator
     units = _scaled_unit_vectors(3, den)
     scaled = units + _juniors(lattice)
-    vertices = [_fraction_point(p, den) for p in scaled]
+    vertices = [lattice._fraction_point(p) for p in scaled]
     basis = _hnf_basis(units + lattice.scaled_points)  # a basis of den*L
     if len(basis) != 3:
         raise InternalInvariantError("overlattice model is not full rank")

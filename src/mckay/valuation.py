@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
 from .age import FractionalExpression, eigen_exponents
@@ -211,21 +212,13 @@ def valuation_fingerprint(
     # exponents of g as powers of zeta_r
     b = _primitivize(tuple(e // step for e in g_exps))
     fingerprint = {}
-    for m in _monomials(n, probe_degree):
-        if all(sum(mi * ei for mi, ei in zip(m, exps)) % L == 0
-               for exps in generator_exps):
-            value = Fraction(sum(mi * bi for mi, bi in zip(m, b)), r)
-            fingerprint[m] = value.numerator if value.denominator == 1 else value
+    # a monomial of degree d as the sorted d-tuple of its variables
+    for degree in range(1, probe_degree + 1):
+        for support in combinations_with_replacement(range(n), degree):
+            if all(sum(e[i] for i in support) % L == 0 for e in generator_exps):
+                m = [0] * n
+                for i in support:
+                    m[i] += 1
+                v = Fraction(sum(b[i] for i in support), r)
+                fingerprint[tuple(m)] = v.numerator if v.denominator == 1 else v
     return fingerprint
-
-
-def _monomials(n: int, max_degree: int):
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + (k,), remaining - k, slots - 1)
-
-    for total in range(1, max_degree + 1):
-        yield from rec((), total, n)

@@ -6,7 +6,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +17,7 @@ from mckay.age import betti_prediction, grade
 from mckay.cli import main
 from mckay.errors import ClosureCapError, InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file, parse_group_text
+from mckay.matgroup import DEFAULT_CAP
 from mckay.toric import (
     DiagonalGroupSpec,
     build_lattice,
@@ -366,6 +367,90 @@ def test_lattice_cap_counts_box_points():
         build_lattice(spec, cap=6)
     with pytest.raises(ClosureCapError):
         build_lattice(spec, cap=0)
+
+
+def oracle_bfs_scan(spec, cap=DEFAULT_CAP):
+    """The breadth-first box scan that the coset scan replaced: every point
+    plus every step, with a membership test per sum.  Returns the set of
+    scaled box points; raises ClosureCapError past `cap` of them."""
+    d, steps = spec.exponent_vectors()
+    g = gcd(d, *(a for step in steps for a in step))
+    den = d // g
+    steps = [tuple(a // g for a in step) for step in steps]
+    found = [(0,) * spec.n]
+    points = set(found)
+    for p in found:
+        if len(found) > cap:
+            raise ClosureCapError(cap)
+        for step in steps:
+            q = tuple((a + b) % den for a, b in zip(p, step))
+            if q not in points:
+                points.add(q)
+                found.append(q)
+    return points
+
+
+def _raises_cap(scan, spec, cap):
+    try:
+        scan(spec, cap)
+    except ClosureCapError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_specs(max_index=150, sl=None))
+@example(DiagonalGroupSpec(3, ((6, (2, 4, 0)), (4, (2, 2, 0)))))
+@example(DiagonalGroupSpec(3, ((5, (1, 2, 2)), (5, (1, 2, 2)))))
+@example(DiagonalGroupSpec(3, ((6, (1, 5, 0)), (3, (1, 2, 0)))))
+@example(DiagonalGroupSpec(3, ((1, (0, 0, 0)),)))
+def test_coset_scan_matches_bfs_oracle(spec):
+    # later generators may fall into earlier cosets, or repeat one
+    lat, points = build_lattice(spec), oracle_bfs_scan(spec)
+    assert lat._point_set == points
+    assert lat.scaled_points == sorted(points)
+    assert lat.index == len(points)
+    for cap in (0, lat.index // 2, lat.index - 1, lat.index):
+        assert _raises_cap(build_lattice, spec, cap) \
+            == _raises_cap(oracle_bfs_scan, spec, cap) == (lat.index > cap)
+
+
+def test_cap_is_checked_before_each_coset(monkeypatch):
+    # index 125, built as the cosets of 1, 5 and 25 points: caps 26 and 100
+    # fall inside a coset
+    spec = DiagonalGroupSpec(
+        4, ((5, (1, 4, 0, 0)), (5, (0, 1, 4, 0)), (5, (0, 0, 1, 4))))
+    for cap in (0, 26, 100, 124):
+        with pytest.raises(ClosureCapError, match=f"cap of {cap} elements"):
+            build_lattice(spec, cap)
+    for cap in (125, 126):
+        assert build_lattice(spec, cap).index == 125
+    # index 10^6: the scan stops near the cap, so the n lookups per point
+    # and per coset stay under 2 * n * cap
+    calls = Counter()
+
+    def counted(seq, i):
+        calls["getitem"] += 1
+        return seq[i]
+
+    monkeypatch.setattr(toric, "getitem", counted)
+    big = DiagonalGroupSpec(3, ((1000, (1, 999, 0)), (1000, (0, 1, 999))))
+    with pytest.raises(ClosureCapError, match="cap of 1000 elements"):
+        build_lattice(big, 1000)
+    assert 0 < calls["getitem"] <= 2 * 3 * 1000
+
+
+def test_fraction_coordinates_are_built_once_per_lattice():
+    lat = lattice(4, (6, (1, 5, 0, 0)), (6, (0, 1, 5, 0)), (6, (0, 0, 1, 5)))
+    pts = junior_points(lat)
+    assert len(pts) == 80
+    assert len({id(c) for p in pts for c in p}) <= lat.denominator + 1
+    # the ages, up to n * D over D, share the table with the coordinates
+    values = [c for bp in lat.box_points for c in bp.coords + (bp.age,)]
+    assert len({id(c) for c in values}) == len(set(values))
+    lat = lattice(3, (6, (1, 5, 0)), (6, (0, 1, 5)))
+    vertices = resolve(lat).vertices
+    assert len({id(c) for p in vertices for c in p}) <= lat.denominator + 1
 
 
 def test_condition_i_fails_for_terminal_example():

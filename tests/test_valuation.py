@@ -15,7 +15,6 @@ from mckay.groupfile import parse_group_file, parse_group_text
 from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import (
-    _monomials,
     _primitivize,
     monomial_valuation,
     quotient_discrepancy,
@@ -534,6 +533,20 @@ def _scan_diagonal_exponents(group, index):
                  for i in range(n))
 
 
+def _monomials(n: int, max_degree: int):
+    """Every exponent vector of total degree 1..max_degree, by recursion
+    over the coordinates."""
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + (remaining,)
+            return
+        for k in range(remaining + 1):
+            yield from rec(prefix + (k,), remaining - k, slots - 1)
+
+    for total in range(1, max_degree + 1):
+        yield from rec((), total, n)
+
+
 def _scan_fingerprint(group, index, probe_degree):
     """The fingerprint as computed before word vectors, from scanned
     diagonals of the generators and of the element."""
@@ -585,6 +598,16 @@ def test_word_vectors_and_fingerprints_match_the_scan(spec):
             for probe in range(1, 7):
                 assert valuation_fingerprint(s, group, i, probe) == \
                     _scan_fingerprint(group, i, probe)
+
+
+def test_fingerprint_matches_the_scan_in_higher_dimension():
+    # most monomials leave most variables out, and only some are invariant
+    n = 9
+    spec, group = _spec_and_group(
+        n, [(3, (1, 2) + (0,) * 7), (5, (0, 0, 1, 4, 0, 2, 3, 0, 0))])
+    for i in range(1, len(group)):
+        assert valuation_fingerprint(spec, group, i, 3) == \
+            _scan_fingerprint(group, i, 3)
 
 
 def test_fingerprint_order_mismatch_names_the_element():
