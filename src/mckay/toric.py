@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import getitem
+from operator import add, mod
 
 from .cyclo import cyclotomic_field
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
@@ -92,11 +92,11 @@ class BoxPoint:
 
 class OverLattice:
     """L = Z^n + sum Z*g_i with the box points L intersected with [0,1)^n,
-    the elements of the diagonal group.  The scan adds, for each step s,
-    the cosets H + s, H + 2s, ... of the subgroup H of the earlier steps
-    until a multiple of s falls in H.  Like close_group it raises
-    ClosureCapError past `cap` points, checked before each coset is built,
-    so it never holds more than `cap`.
+    the elements of the diagonal group.  For each step s the scan walks
+    t = s, 2s, ... until t falls in the subgroup H of the earlier steps,
+    then adds the cosets H + t.  Like close_group it raises
+    ClosureCapError past `cap` points; the walk checks the cap before it
+    takes each coset, so the scan never holds more than `cap`.
 
     `scaled_points` are the box points times `denominator`, as integer
     vectors in lexicographic order; `box_points` is their `Fraction` view.
@@ -115,19 +115,19 @@ class OverLattice:
             raise ClosureCapError(cap)
         found = [(0,) * self.n]
         points = set(found)
-        wrap = list(range(den)) * 2
-        # found[:size] is H; the first multiple t of step in `points` is
-        # the first in H, since js in H + is, 0 < i < j, puts (j-i)s in H
+        dens = (den,) * self.n
+        # H = found[:size] starts with 0, so the coset H + t starts with t
         for step in steps:
-            size, t = len(found), step
+            size, reps, t = len(found), [], step
             while t not in points:
-                if len(found) + size > cap:
+                if size * (len(reps) + 2) > cap:
                     raise ClosureCapError(cap)
-                shift = [wrap[c:c + den] for c in t]  # shift[i][a] = a + t_i mod D
-                coset = [tuple(map(getitem, shift, h)) for h in found[:size]]
-                found += coset
-                points.update(coset)
-                t = tuple(map(getitem, shift, step))
+                reps.append(t)
+                t = tuple(map(mod, map(add, t, step), dens))
+            cosets = reps + [tuple(map(mod, map(add, h, t), dens))
+                             for t in reps for h in found[1:size]]
+            found += cosets
+            points.update(cosets)
         self._point_set = points
         self.scaled_points = sorted(points)
         self.index = len(points)

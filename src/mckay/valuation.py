@@ -192,9 +192,9 @@ def valuation_fingerprint(
     spec: DiagonalGroupSpec, group: MatrixGroup, index: int, probe_degree: int
 ) -> dict[tuple[int, ...], int]:
     """Values of the restricted valuation v_g on all G-invariant monomials
-    of total degree <= probe_degree, for `group` closed from `spec`.  Only
-    integers are read: g's exponent vector is the spec's word vector of g,
-    whose order must be the one the closure found."""
+    of total degree <= probe_degree, for `group` closed from `spec`, keyed
+    in no set order.  Only integers are read: g's exponent vector is the
+    spec's word vector of g, whose order must be the closure's."""
     if probe_degree < 1:
         raise RequirementError("probe degree must be >= 1")
     n = spec.n

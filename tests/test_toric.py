@@ -3,6 +3,8 @@ import io
 import json
 import pathlib
 import tempfile
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -415,7 +417,7 @@ def test_coset_scan_matches_bfs_oracle(spec):
             == _raises_cap(oracle_bfs_scan, spec, cap) == (lat.index > cap)
 
 
-def test_cap_is_checked_before_each_coset(monkeypatch):
+def test_cap_is_checked_before_each_coset():
     # index 125, built as the cosets of 1, 5 and 25 points: caps 26 and 100
     # fall inside a coset
     spec = DiagonalGroupSpec(
@@ -425,19 +427,37 @@ def test_cap_is_checked_before_each_coset(monkeypatch):
             build_lattice(spec, cap)
     for cap in (125, 126):
         assert build_lattice(spec, cap).index == 125
-    # index 10^6: the scan stops near the cap, so the n lookups per point
-    # and per coset stay under 2 * n * cap
-    calls = Counter()
-
-    def counted(seq, i):
-        calls["getitem"] += 1
-        return seq[i]
-
-    monkeypatch.setattr(toric, "getitem", counted)
+    # index 10^6: the scan stops at the cap, so it holds about 1000 points,
+    # well under 1 MB, where the whole box would take over 100 MB
     big = DiagonalGroupSpec(3, ((1000, (1, 999, 0)), (1000, (0, 1, 999))))
-    with pytest.raises(ClosureCapError, match="cap of 1000 elements"):
-        build_lattice(big, 1000)
-    assert 0 < calls["getitem"] <= 2 * 3 * 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureCapError, match="cap of 1000 elements"):
+            build_lattice(big, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_large_cyclic_box_scan_is_linear_like_the_bfs():
+    # every coset of a cyclic group is one point, so work of order n * D
+    # per coset would make the scan quadratic in the index; the BFS oracle
+    # is linear, and the scan (with its sort) must stay within 3 times it
+    spec = DiagonalGroupSpec(3, ((10**5, (1, 2, 99997)),))
+
+    def best_of_two(scan):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            result = scan(spec)
+            times.append(time.perf_counter() - start)
+        return result, min(times)
+
+    lat, scan_s = best_of_two(build_lattice)
+    points, bfs_s = best_of_two(oracle_bfs_scan)
+    assert lat.index == len(points) == 10**5
+    assert scan_s < 3 * bfs_s
 
 
 def test_fraction_coordinates_are_built_once_per_lattice():
