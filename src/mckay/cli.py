@@ -192,7 +192,7 @@ def cmd_ram(args) -> str:
         body["probe_degree"] = probe
         body["fingerprint"] = {
             ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))
-            for m, v in sorted(fingerprint.items())
+            for m, v in fingerprint.items()
         }
     by_generator = {}  # one characteristic polynomial per walk
     v = valuation.monomial_valuation(group, rep, by_generator)

@@ -8,13 +8,16 @@ ids.  This is the orbit method of Holt, Eick and O'Brien (Handbook of
 Computational Group Theory, 2005, 4.1): act on a small orbit, not on the
 group.  Rows are deduplicated through the unique normal form of their
 entries.  After closure, every group operation works on element
-indices.  Products come from the closure's right-multiplication table.
+indices.  Each element keeps one entry of a Schreier tree with run lengths
+(ibid.): elements[i] = elements[j] * g_k^m, where the word of elements[j]
+does not end in g_k.  Products follow the runs (k, m) of the breadth-first
+word, read by walking the tree, through the right-multiplication table.
 Powers come from one walk x^0, x^1, ..., x^(r-1) per cyclic subgroup <x>
 not reached by an earlier walk: an element found as x^k in a walk of
 length r has order r/gcd(r, k), and its powers, its inverse and its cyclic
 subgroup are read off that walk.  Conjugacy classes are orbits under
-conjugation by the generators; the maximal cyclic subgroups are the walks
-that no other walk contains.
+conjugation by the generators, g^-1 x g = (x^-1 g)^-1 g from the table;
+the maximal cyclic subgroups are the walks that no other walk contains.
 """
 
 from __future__ import annotations
@@ -31,27 +34,12 @@ DEFAULT_CAP = 100_000
 class GroupElement:
     """An n x n matrix over Q(zeta_N) with its order and a stable index."""
 
-    __slots__ = ("entries", "order", "index", "word")
+    __slots__ = ("entries", "order", "index")
 
-    def __init__(self, entries, index, word):
+    def __init__(self, entries, index):
         self.entries = entries
         self.index = index
-        self.word = word  # generator-index sequence from the BFS closure
         self.order = None  # filled in by the group once closed
-
-    def name(self, generator_names) -> str:
-        if not self.word:
-            return "e"
-        parts = []
-        i = 0
-        while i < len(self.word):
-            j = i
-            while j < len(self.word) and self.word[j] == self.word[i]:
-                j += 1
-            base = generator_names[self.word[i]]
-            parts.append(base if j - i == 1 else f"{base}^{j - i}")
-            i = j
-        return "*".join(parts)
 
     def trace(self):
         return linalg.trace(self.entries)
@@ -89,7 +77,9 @@ class MatrixGroup:
     """A closed finite matrix group; immutable once constructed.
 
     `right[k][i]` is the index of elements[i] * generator k, as recorded by
-    the closure; products and classes are read from it.  `_walks` holds one
+    the closure; products and classes are read from it.  `_tree[i]` is the
+    tree entry (j, k, m) of elements[i], (0, None, 0) for the identity, and
+    `runs(i)` reads its word, for products and names.  `_walks` holds one
     power walk (x^0, x^1, ..., x^(r-1)) for each x, in index order, that no
     earlier walk reached, and `places[i]` is the pair (walk, k) with
     walk[k] == i from the first walk that reached i.  Orders, powers,
@@ -97,20 +87,21 @@ class MatrixGroup:
     """
 
     def __init__(self, dimension, field, elements, generator_indices,
-                 generator_names, right, in_sl):
+                 generator_names, right, tree, in_sl):
         self.dimension = dimension
         self.field = field
         self.elements = elements
         self.generator_indices = generator_indices
         self.generator_names = generator_names
         self._right = right
+        self._tree = tree
         self.in_sl = in_sl
         self._walks = []
         self.places = [None] * len(elements)
         for x in range(len(elements)):
             if self.places[x] is not None:
                 continue
-            walk, acc = [0], x
+            walk, acc, runs = [0], x, self.runs(x)
             while acc:
                 walk.append(acc)
                 if len(walk) > len(elements):
@@ -118,7 +109,9 @@ class MatrixGroup:
                         f"the powers of element {self.element_name(x)} do "
                         f"not reach the identity within {len(elements)} steps"
                     )
-                acc = self.mul(acc, x)
+                for k, m in runs:  # acc * x, reading x's runs once a walk
+                    for _ in range(m):
+                        acc = right[k][acc]
             walk = tuple(walk)
             self._walks.append(walk)
             for k, y in enumerate(walk):
@@ -134,10 +127,18 @@ class MatrixGroup:
     def __len__(self):
         return len(self.elements)
 
+    def runs(self, i: int) -> list[tuple[int, int]]:
+        """The breadth-first word of elements[i] as runs [(k, m), ...]."""
+        runs = []
+        while i:
+            i, k, m = self._tree[i]
+            runs.append((k, m))
+        return runs[::-1]
+
     def mul(self, i: int, j: int) -> int:
-        # elements[j] is the product of the generators in its word
-        for k in self.elements[j].word:
-            i = self._right[k][i]
+        for k, m in self.runs(j):
+            for _ in range(m):
+                i = self._right[k][i]
         return i
 
     def inv(self, i: int) -> int:
@@ -148,7 +149,8 @@ class MatrixGroup:
         return walk[k * m % len(walk)]
 
     def element_name(self, i: int) -> str:
-        return self.elements[i].name(self.generator_names)
+        return "*".join(self.generator_names[k] + (f"^{m}" if m > 1 else "")
+                        for k, m in self.runs(i)) or "e"
 
     def describe(self, i: int) -> str:
         """The element's name and order, for error messages."""
@@ -157,15 +159,15 @@ class MatrixGroup:
     def _conjugacy_classes(self):
         """Orbits of x -> g^-1 x g over the generators g, found in index
         order; fills `class_of`."""
-        classes = []
+        inv, classes = self.inv, []
         for i in range(len(self.elements)):
             if i in self.class_of:
                 continue
             orbit, todo = {i}, [i]
             while todo:
-                x = todo.pop()
-                for g in self.generator_indices:
-                    y = self.mul(self.mul(self.inv(g), x), g)
+                x_inv = inv(todo.pop())
+                for row in self._right:
+                    y = row[inv(row[x_inv])]
                     if y not in orbit:
                         orbit.add(y)
                         todo.append(y)
@@ -247,29 +249,32 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     elements = []
     ids_of = []  # ids_of[i]: the row ids of elements[i]
     index_of = {}
+    tree = []
 
-    def add(ids, word):
+    def add(ids, entry):
         index = index_of.get(ids)
         if index is None:
             if len(elements) >= cap:
                 raise ClosureCapError(cap)
             index = len(elements)
-            elements.append(GroupElement(tuple(rows[r] for r in ids), index, word))
+            elements.append(GroupElement(tuple(rows[r] for r in ids), index))
             ids_of.append(ids)
             index_of[ids] = index
+            tree.append(entry)
         return index
 
-    add(tuple(row_id(row) for row in linalg.identity(field, n)), ())
-    generator_indices = tuple(add(tuple(row_id(tuple(row)) for row in g), (k,))
+    add(tuple(row_id(row) for row in linalg.identity(field, n)), (0, None, 0))
+    generator_indices = tuple(add(tuple(row_id(tuple(row)) for row in g), (0, k, 1))
                               for k, g in enumerate(generators))
     right = [[] for _ in generators]
-    # `elements` grows during the scan, so this visits elements in
-    # breadth-first order and right[k][i] is filled for every i.
-    for element in elements:
-        ids = ids_of[element.index]
+    # `ids_of` grows during the scan, so this visits elements in
+    # breadth-first order and right[k][p] is filled for every p.
+    for p, ids in enumerate(ids_of):
+        j, last, m = tree[p]
         for k in range(len(generators)):
-            right[k].append(add(tuple(image(r, k) for r in ids), element.word + (k,)))
+            entry = (j, k, m + 1) if k == last else (p, k, 1)
+            right[k].append(add(tuple(image(r, k) for r in ids), entry))
 
     in_sl = all(d == 1 for d in determinants)
     return MatrixGroup(n, field, elements, generator_indices, list(names),
-                       right, in_sl)
+                       right, tree, in_sl)

@@ -65,13 +65,13 @@ class DiagonalGroupSpec:
         return L, [tuple(a * (L // r) for a in exps)
                    for r, exps in self.generators]
 
-    def word_vector(self, word) -> tuple[int, ...]:
-        """The vector over L of the product of the generators indexed by
-        `word`: the sum of theirs, mod L."""
+    def word_vector(self, runs) -> tuple[int, ...]:
+        """The vector over L of the product g_k^m * ... of the runs
+        [(k, m), ...]: the sum of m times generator k's vector, mod L."""
         L, vectors = self.exponent_vectors()
         out = (0,) * self.n
-        for k in word:
-            out = tuple((a + b) % L for a, b in zip(out, vectors[k]))
+        for k, m in runs:
+            out = tuple((a + m * b) % L for a, b in zip(out, vectors[k]))
         return out
 
     def matrices(self):

@@ -202,7 +202,7 @@ def valuation_fingerprint(
     if count > MAX_PROBE_MONOMIALS:
         raise ProbeCapError(probe_degree, n, count, MAX_PROBE_MONOMIALS)
     L, generator_exps = spec.exponent_vectors()
-    g_exps = spec.word_vector(group.elements[index].word)
+    g_exps = spec.word_vector(group.runs(index))
     r, step = group.elements[index].order, gcd(L, *g_exps)
     if L // step != r:
         raise InternalInvariantError(

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 
 import pytest
@@ -130,7 +132,7 @@ def test_power_walk_that_misses_the_identity_is_an_internal_error():
                              r"within 7 steps"):
         MatrixGroup(group.dimension, group.field, group.elements,
                     group.generator_indices, group.generator_names, right,
-                    group.in_sl)
+                    group._tree, group.in_sl)
 
 def _key(entries):
     """Dedup key of a matrix: the normal forms (numerators, denominator) of
@@ -140,11 +142,14 @@ def _key(entries):
 
 def oracle_close_group(generators, cap=100_000):
     """The closure by whole-matrix products: breadth-first search that
-    multiplies every element by every generator and deduplicates on `_key`."""
+    multiplies every element by every generator and deduplicates on `_key`.
+    Returns the group and each element's explicit breadth-first word; the
+    group's tree entry for a word is the word with its last run cut off,
+    and that run."""
     n = len(generators[0])
     field = generators[0][0][0].field
     names = [f"g{i + 1}" for i in range(len(generators))]
-    elements, index_of = [], {}
+    elements, words, index_of = [], [], {}
 
     def add(entries, word):
         key = _key(entries)
@@ -153,7 +158,8 @@ def oracle_close_group(generators, cap=100_000):
             if len(elements) >= cap:
                 raise ClosureCapError(cap)
             index = len(elements)
-            elements.append(GroupElement(entries, index, word))
+            elements.append(GroupElement(entries, index))
+            words.append(word)
             index_of[key] = index
         return index
 
@@ -162,20 +168,49 @@ def oracle_close_group(generators, cap=100_000):
                               for k, g in enumerate(generators))
     multipliers = [linalg.RightMultiplier(g) for g in generators]
     right = [[] for _ in generators]
-    for element in elements:
+    for element, word in zip(elements, words):
         for k, times_g in enumerate(multipliers):
-            right[k].append(add(times_g(element.entries), element.word + (k,)))
+            right[k].append(add(times_g(element.entries), word + (k,)))
+    index_of_word = {word: i for i, word in enumerate(words)}
+    tree = [(0, None, 0)]
+    for word in words[1:]:
+        j = len(word)
+        while j and word[j - 1] == word[-1]:
+            j -= 1
+        tree.append((index_of_word[word[:j]], word[-1], len(word) - j))
     in_sl = all(linalg.det(g) == 1 for g in generators)
-    return MatrixGroup(n, field, elements, generator_indices, names, right, in_sl)
+    return (MatrixGroup(n, field, elements, generator_indices, names, right,
+                        tree, in_sl), words)
 
 
-def assert_closure_matches_oracle(generators):
-    group, oracle = close_group(generators), oracle_close_group(generators)
+def oracle_name(word, generator_names):
+    """An element's name read off its explicit word: runs of one generator
+    joined by '*', a run of length m > 1 written with '^m', 'e' if empty."""
+    if not word:
+        return "e"
+    parts = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        base = generator_names[word[i]]
+        parts.append(base if j - i == 1 else f"{base}^{j - i}")
+        i = j
+    return "*".join(parts)
+
+
+def assert_closure_matches_oracle(generators, names=None):
+    group = close_group(generators, names=names)
+    oracle, words = oracle_close_group(generators)
     assert [e.index for e in group.elements] == list(range(len(oracle)))
     assert [e.entries for e in group.elements] == [e.entries for e in oracle.elements]
-    assert [e.word for e in group.elements] == [e.word for e in oracle.elements]
     assert group.generator_indices == oracle.generator_indices
     assert group._right == oracle._right
+    assert group._tree == oracle._tree
+    for i, word in enumerate(words):
+        assert group.runs(i) == [(k, len(list(run))) for k, run in groupby(word)]
+        assert group.element_name(i) == oracle_name(word, group.generator_names)
     assert group.in_sl == oracle.in_sl
     return group
 
@@ -184,7 +219,25 @@ def assert_closure_matches_oracle(generators):
 @pytest.mark.parametrize("name", CORPUS)
 def test_closure_matches_matrix_product_oracle_on_corpus(name, choice):
     gf = parse_group_file(group_path(name))
-    assert_closure_matches_oracle((gf.inverted() if choice == "inverse" else gf).matrices())
+    if choice == "inverse":
+        gf = gf.inverted()
+    assert_closure_matches_oracle(gf.matrices(), gf.generator_names)
+
+
+def test_closure_record_is_linear_in_the_order():
+    # (1/100)(1,99,0) + (1/100)(0,1,99) has order 10^4 and breadth-first
+    # words of up to 198 letters; one tree entry per element keeps the
+    # record linear, where a word tuple per element held 13.1 MB
+    generators = DiagonalGroupSpec(3, ((100, (1, 99, 0)),
+                                       (100, (0, 1, 99)))).matrices()
+    tracemalloc.start()
+    try:
+        group = close_group(generators)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 10_000
+    assert retained < 8_000_000
 
 
 def reference_structure(group):
@@ -350,7 +403,7 @@ def test_scalar_lift_matches_group_closed_in_exponent_field(name):
     field = cyclotomic_field(lcm(group.field.order, group.exponent))
     gens = parse_group_file(group_path(name)).matrices()
     big = close_group([linalg.mat_embed(g, field) for g in gens])
-    assert [e.word for e in big.elements] == [e.word for e in group.elements]
+    assert big._tree == group._tree
     for i in range(len(group)):
         assert eigen_exponents(big, i) == eigen_exponents(group, i)
     assert grade(big).buckets == grade(group).buckets
@@ -368,6 +421,10 @@ def test_closure_cap():
     unipotent = ((one, one), (zero, one))
     with pytest.raises(ClosureCapError):
         close_group([unipotent], cap=50)
+    # the identity is checked against the cap like every other element
+    with pytest.raises(ClosureCapError):
+        close_group([linalg.identity(f1, 2)], cap=0)
+    assert len(close_group([linalg.identity(f1, 2)], cap=1)) == 1
 
 
 def test_closure_rejects_bad_generators():

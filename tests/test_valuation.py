@@ -472,7 +472,7 @@ def test_ram_is_read_off_whichever_walk_holds_it(generators):
     # g = (1/4)(2, 0) lies in the walks of (1/4)(1, 0) and (1/4)(1, 2),
     # and Ram, the elements (1/4)(a, 0), is the first of them
     spec, group = _spec_and_group(2, generators)
-    vector = [spec.word_vector(element.word) for element in group.elements]
+    vector = [spec.word_vector(group.runs(i)) for i in range(len(group))]
     g = vector.index((2, 0))
     assert sum(g in s.members for s in group.maximal_cyclic_subgroups()) == 2
     ram = ram_group(group, monomial_valuation(group, g))
@@ -573,15 +573,15 @@ def _spec_and_group(n, generators):
 def test_diagonal_exponents():
     spec, group = _spec_and_group(3, [(7, (1, 2, 4))])
     g = group.generator_indices[0]
-    assert spec.word_vector(group.elements[g].word) == (1, 2, 4)
+    assert spec.word_vector(group.runs(g)) == (1, 2, 4)
     assert _scan_diagonal_exponents(group, g) == (1, 2, 4)
-    assert spec.word_vector(group.elements[group.power(g, 3)].word) == (3, 6, 5)
+    assert spec.word_vector(group.runs(group.power(g, 3))) == (3, 6, 5)
 
 
 @settings(max_examples=25, deadline=None)
 @given(spec=diagonal_specs(max_index=24, max_order=8))
 def test_word_vectors_and_fingerprints_match_the_scan(spec):
-    # the toric side (spec exponents along closure words) against the
+    # the toric side (spec exponents along closure runs) against the
     # matrix side (scanned diagonals), under both choices
     inverse = parse_group_text(spec_text(spec)).inverted().to_spec()
     for s in (spec, inverse):
@@ -589,7 +589,7 @@ def test_word_vectors_and_fingerprints_match_the_scan(spec):
         L = group.field.order
         assert s.exponent_vectors()[0] == L
         for i in range(1, len(group)):
-            vector = s.word_vector(group.elements[i].word)
+            vector = s.word_vector(group.runs(i))
             assert vector == _scan_diagonal_exponents(group, i)
             # the walk polynomial agrees with the spec's integer vector
             step = L // group.elements[i].order
