@@ -11,22 +11,25 @@ class-constancy asserted at runtime.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import cyclotomic_field
 from .errors import InternalInvariantError, RequirementError
 from .matgroup import MatrixGroup
+from .record import Record, ValueRecord
 
 
-@dataclass(frozen=True)
-class FractionalExpression:
+class FractionalExpression(ValueRecord):
     """The data (1/r)(a_1,...,a_n): order, sorted eigenvalue exponents,
     the dimension of the fixed subspace, and primitivity of the vector."""
+    __slots__ = ("r", "exponents")
+    def __init__(self, r: int, exponents: tuple[int, ...]):
+        self.r = r
+        self.exponents = exponents
 
-    r: int
-    exponents: tuple[int, ...]
+    def __hash__(self):
+        return hash((self.r, self.exponents))
 
     @property
     def age_fraction(self) -> Fraction:
@@ -130,21 +133,25 @@ def eigen_exponents(group: MatrixGroup, index: int,
                        lambda i: group.elements[i].trace())
 
 
-@dataclass
-class ClassGrading:
-    class_id: int
-    representative: int
-    size: int
-    expression: FractionalExpression
-    age: int
+class ClassGrading(Record):
+    __slots__ = ("class_id", "representative", "size", "expression", "age")
+    def __init__(self, class_id: int, representative: int, size: int,
+                 expression: FractionalExpression, age: int):
+        self.class_id = class_id
+        self.representative = representative
+        self.size = size
+        self.expression = expression
+        self.age = age
 
 
-@dataclass
-class GradedClassTable:
-    group: MatrixGroup
-    classes: list[ClassGrading]
-    buckets: dict[int, list[int]]  # age -> class ids
-    gamma1_zero: list[int]  # junior class ids with fix_dim = 0
+class GradedClassTable(Record):
+    __slots__ = ("group", "classes", "buckets", "gamma1_zero")
+    def __init__(self, group: MatrixGroup, classes: list[ClassGrading],
+                 buckets: dict[int, list[int]], gamma1_zero: list[int]):
+        self.group = group
+        self.classes = classes
+        self.buckets = buckets  # age -> class ids
+        self.gamma1_zero = gamma1_zero  # junior class ids with fix_dim = 0
 
 
 def grade(group: MatrixGroup) -> GradedClassTable:
@@ -220,11 +227,12 @@ def inverse_bijection(table: GradedClassTable) -> dict[int, int]:
     return mapping
 
 
-@dataclass(frozen=True)
-class BettiPrediction:
-    h0: int
-    h2: int
-    h4: int
+class BettiPrediction(Record):
+    __slots__ = ("h0", "h2", "h4")
+    def __init__(self, h0: int, h2: int, h4: int):
+        self.h0 = h0
+        self.h2 = h2
+        self.h4 = h4
 
     @property
     def euler(self) -> int:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import compress
 
 from . import age as age_mod
 from . import quiver, toric, valuation
@@ -190,10 +191,12 @@ def cmd_ram(args) -> str:
         fingerprint = valuation.valuation_fingerprint(
             gf.to_spec(), group, rep, probe)
         body["probe_degree"] = probe
-        body["fingerprint"] = {
-            ",".join(map(str, m)): (v if isinstance(v, int) else _frac(v))
-            for m, v in fingerprint.items()
-        }
+        body["fingerprint"] = keyed = {}
+        for m, v in fingerprint.items():
+            key = ["0"] * gf.dimension  # str only on the monomial's support
+            for i in compress(range(gf.dimension), m):
+                key[i] = str(m[i])
+            keyed[",".join(key)] = v if isinstance(v, int) else _frac(v)
     by_generator = {}  # one characteristic polynomial per walk
     v = valuation.monomial_valuation(group, rep, by_generator)
     expr = v.expression

@@ -29,24 +29,28 @@ Each generator line is ``generator r : a_1 ... a_n`` for (1/r)(a_1,...,a_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import lcm
 
 from . import linalg
 from .cyclo import LiteralSyntaxError, cyclotomic_field, parse_literal
 from .errors import GroupFileError, RequirementError
 from .matgroup import DEFAULT_CAP, MatrixGroup, close_group
+from .record import Record
 from .toric import DiagonalGroupSpec
 
 
-@dataclass
-class GroupFile:
-    format: str  # "matrix" | "diagonal"
-    dimension: int
-    cyclotomic_order: int | None
-    generator_names: list[str]
-    matrix_generators: list[tuple[tuple, ...]]  # CycNum matrices (matrix fmt)
-    diagonal_generators: list[tuple[int, tuple[int, ...]]]  # (r, exponents)
+class GroupFile(Record):
+    __slots__ = ("format", "dimension", "cyclotomic_order", "generator_names",
+                 "matrix_generators", "diagonal_generators")
+    def __init__(self, format: str, dimension: int, cyclotomic_order: int | None,
+                 generator_names: list[str], matrix_generators: list[tuple[tuple, ...]],
+                 diagonal_generators: list[tuple[int, tuple[int, ...]]]):
+        self.format = format  # "matrix" | "diagonal"
+        self.dimension = dimension
+        self.cyclotomic_order = cyclotomic_order
+        self.generator_names = generator_names
+        self.matrix_generators = matrix_generators  # CycNum matrices (matrix fmt)
+        self.diagonal_generators = diagonal_generators  # (r, exponents)
 
     def to_spec(self) -> DiagonalGroupSpec:
         if self.format != "diagonal":
@@ -65,10 +69,10 @@ class GroupFile:
             mats = [linalg.mat_inv(m) for m in self.matrix_generators]
         except ZeroDivisionError:
             raise RequirementError("non-invertible generator") from None
-        return replace(self, matrix_generators=mats, diagonal_generators=[
-            (r, tuple((r - a) % r for a in exps))
-            for r, exps in self.diagonal_generators
-        ])
+        return GroupFile(self.format, self.dimension, self.cyclotomic_order,
+                         self.generator_names, mats,
+                         [(r, tuple((r - a) % r for a in exps))
+                          for r, exps in self.diagonal_generators])
 
     def close(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
         return close_group(self.matrices(), cap=cap, names=self.generator_names)

@@ -109,9 +109,7 @@ class MatrixGroup:
                         f"the powers of element {self.element_name(x)} do "
                         f"not reach the identity within {len(elements)} steps"
                     )
-                for k, m in runs:  # acc * x, reading x's runs once a walk
-                    for _ in range(m):
-                        acc = right[k][acc]
+                acc = self.times(acc, runs)  # acc * x, reading x's runs once a walk
             walk = tuple(walk)
             self._walks.append(walk)
             for k, y in enumerate(walk):
@@ -136,9 +134,14 @@ class MatrixGroup:
         return runs[::-1]
 
     def mul(self, i: int, j: int) -> int:
-        for k, m in self.runs(j):
+        return self.times(i, self.runs(j))
+
+    def times(self, i: int, runs) -> int:
+        """elements[i] times the word of the runs [(k, m), ...]."""
+        for k, m in runs:
+            row = self._right[k]
             for _ in range(m):
-                i = self._right[k][i]
+                i = row[i]
         return i
 
     def inv(self, i: int) -> int:
@@ -178,6 +181,18 @@ class MatrixGroup:
         return classes
 
     # -- derived structure -------------------------------------------------
+
+    def centralizer(self, g: int) -> list[int]:
+        """The elements commuting with elements[g], in index order: one
+        breadth-first sweep sets conj[h] = h^-1 g h, as conj[p * g_k] =
+        g_k^-1 conj[p] g_k by the table lookup of `_conjugacy_classes`."""
+        inv = [walk[-k % len(walk)] for walk, k in self.places]
+        conj = [None] * len(self.elements)
+        conj[0] = g
+        for p, x in enumerate(conj):
+            for row in self._right:
+                conj[row[p]] = row[inv[row[inv[x]]]]
+        return [h for h, x in enumerate(conj) if x == g]
 
     def cyclic_subgroup(self, i: int) -> frozenset[int]:
         walk, k = self.places[i]

@@ -8,26 +8,29 @@ conjugate elements projects chain edges to edges between conjugacy classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .age import eigen_exponents
 from .errors import InternalInvariantError, RequirementError
 from .matgroup import MatrixGroup
+from .record import Record
 
 
-@dataclass
-class CyclicChain:
-    generator: int  # element index of the subgroup generator
-    nodes: list[int]  # element indices ordered along the junior interval
-    edges: list[tuple[int, int]]  # consecutive pairs
+class CyclicChain(Record):
+    __slots__ = ("generator", "nodes", "edges")
+    def __init__(self, generator: int, nodes: list[int], edges: list[tuple[int, int]]):
+        self.generator = generator  # element index of the subgroup generator
+        self.nodes = nodes  # element indices ordered along the junior interval
+        self.edges = edges  # consecutive pairs
 
 
-@dataclass
-class FoldedGraph:
-    nodes: list[int]  # conjugacy class ids, identity class excluded
-    labels: dict[int, str]  # class id -> representative name
-    edges: list[tuple[int, int]]  # unordered class-id pairs, deduplicated
+class FoldedGraph(Record):
+    __slots__ = ("nodes", "labels", "edges")
+    def __init__(self, nodes: list[int], labels: dict[int, str],
+                 edges: list[tuple[int, int]]):
+        self.nodes = nodes  # conjugacy class ids, identity class excluded
+        self.labels = labels  # class id -> representative name
+        self.edges = edges  # unordered class-id pairs, deduplicated
 
 
 def _require_sl2(group: MatrixGroup):

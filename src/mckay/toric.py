@@ -20,7 +20,6 @@ automatic but asserted anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -29,19 +28,18 @@ from operator import add, mod
 from .cyclo import cyclotomic_field
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
 from .matgroup import DEFAULT_CAP
+from .record import Record
 
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class DiagonalGroupSpec:
+class DiagonalGroupSpec(Record):
     """A diagonal abelian group given by generators (1/r)(a_1,...,a_n)."""
-
-    n: int
-    generators: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        for r, exps in self.generators:
+    __slots__ = ("n", "generators")
+    def __init__(self, n: int, generators: tuple[tuple[int, tuple[int, ...]], ...]):
+        self.n = n
+        self.generators = generators
+        for r, exps in generators:
             if r < 1:
                 raise RequirementError(f"generator order {r} must be positive")
             if len(exps) != self.n:
@@ -83,11 +81,12 @@ class DiagonalGroupSpec:
                 for v in vectors]
 
 
-@dataclass(frozen=True)
-class BoxPoint:
-    coords: Point
-    age: Fraction
-    primitive: bool
+class BoxPoint(Record):
+    __slots__ = ("coords", "age", "primitive")
+    def __init__(self, coords: Point, age: Fraction, primitive: bool):
+        self.coords = coords
+        self.age = age
+        self.primitive = primitive
 
 
 class OverLattice:
@@ -232,10 +231,11 @@ def discrepancy(weights, order: int = 1) -> Fraction:
     return sum(point, Fraction(0)) - 1
 
 
-@dataclass
-class ConditionWitness:
-    holds: bool
-    witness: Point | None  # the lexicographically first box point not reached
+class ConditionWitness(Record):
+    __slots__ = ("holds", "witness")
+    def __init__(self, holds: bool, witness: Point | None):
+        self.holds = holds
+        self.witness = witness  # the lexicographically first box point not reached
 
 
 def condition_i(lattice: OverLattice) -> ConditionWitness:
@@ -291,12 +291,14 @@ def _dominates_one(node, p) -> bool:
     return _dominates_one(lower, p) or _dominates_one(upper, p)
 
 
-@dataclass
-class JuniorTriangulation:
-    n: int
-    vertices: list[Point]  # unit vectors first, then junior points (lex)
-    simplices: list[tuple[int, ...]]
-    adjacency: list[tuple[int, int]]  # junior vertex pairs sharing an edge
+class JuniorTriangulation(Record):
+    __slots__ = ("n", "vertices", "simplices", "adjacency")
+    def __init__(self, n: int, vertices: list[Point],
+                 simplices: list[tuple[int, ...]], adjacency: list[tuple[int, int]]):
+        self.n = n
+        self.vertices = vertices  # unit vectors first, then junior points (lex)
+        self.simplices = simplices
+        self.adjacency = adjacency  # junior vertex pairs sharing an edge
 
 
 def resolve(lattice: OverLattice) -> JuniorTriangulation:

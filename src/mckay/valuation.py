@@ -31,7 +31,6 @@ d_i^{b_j} = 1 for all j, hence d_i = 1, with no special case.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
@@ -40,6 +39,7 @@ from .age import FractionalExpression, eigen_exponents
 from .cyclo import cyclotomic_field
 from .errors import InternalInvariantError, ProbeCapError, RequirementError
 from .matgroup import MatrixGroup
+from .record import Record, ValueRecord
 from .toric import DiagonalGroupSpec
 
 # Largest number of monomials a fingerprint enumerates; larger probe degrees
@@ -60,11 +60,13 @@ def default_probe_degree(group: MatrixGroup) -> int:
     return degree
 
 
-@dataclass
-class MonomialValuation:
-    weights: tuple[int, ...]  # primitive, in the order of expression.exponents
-    source_index: int
-    expression: FractionalExpression
+class MonomialValuation(Record):
+    __slots__ = ("weights", "source_index", "expression")
+    def __init__(self, weights: tuple[int, ...], source_index: int,
+                 expression: FractionalExpression):
+        self.weights = weights  # primitive, in the order of expression.exponents
+        self.source_index = source_index
+        self.expression = expression
 
 
 def _primitivize(exponents) -> tuple[int, ...]:
@@ -101,28 +103,28 @@ def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
     """Elements preserving the equal-weight block structure of the
     source element g of `v`.  These blocks are the eigenspaces of g, so the
     stabilizer is the centralizer C_G(g), found from the multiplication
-    table; it is verified to form a subgroup.
+    table (`MatrixGroup.centralizer`); it is verified to form a subgroup.
 
     The check builds generators T greedily, each member not yet in <T>
     joining T, and closes <T> under right multiplication by T; every
     element reached must be a member.  Every member is reached, so the
     members form the subgroup <T>, at |S| * |T| products."""
     g = v.source_index
-    members = [h for h in range(len(group)) if group.mul(h, g) == group.mul(g, h)]
+    members = group.centralizer(g)
     member_set = set(members)
     what = f"stabilizer of the valuation of element {group.describe(g)}"
     if 0 not in member_set:
         raise InternalInvariantError(f"{what} does not contain the identity")
-    span, gens = {0}, []
+    span, gens = {0}, {}  # T, each generator with its runs, read once
     for a in members:
         if a in span:
             continue
-        gens.append(a)
+        gens[a] = group.runs(a)
         # the elements already in <T> need only the new generator
         todo = [(x, a) for x in sorted(span)]
         while todo:
             x, t = todo.pop()
-            y = group.mul(x, t)
+            y = group.times(x, gens[t])
             if y in span:
                 continue
             if y not in member_set:
@@ -136,11 +138,12 @@ def stab_group(group: MatrixGroup, v: MonomialValuation) -> list[int]:
     return members
 
 
-@dataclass
-class RamificationGroup:
-    members: list[int]
-    generator: int
-    degree: int
+class RamificationGroup(ValueRecord):
+    __slots__ = ("members", "generator", "degree")
+    def __init__(self, members: list[int], generator: int, degree: int):
+        self.members = members
+        self.generator = generator
+        self.degree = degree
 
 
 def ram_group(group: MatrixGroup, v: MonomialValuation,

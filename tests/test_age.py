@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -9,7 +8,9 @@ from hypothesis import strategies as st
 
 from mckay import age, linalg
 from mckay.age import (
+    ClassGrading,
     FractionalExpression,
+    GradedClassTable,
     betti_prediction,
     eigen_exponents,
     elementary_symmetric_exponents,
@@ -240,6 +241,18 @@ def test_fractional_expression_properties():
         FractionalExpression(3, (0, 1, 2))
 
 
+def test_fractional_expression_is_a_value():
+    # compared and hashed by its fields, as a frozen record
+    expr = FractionalExpression(7, (1, 2, 4))
+    assert expr == FractionalExpression(7, (1, 2, 4))
+    assert hash(expr) == hash(FractionalExpression(7, (1, 2, 4)))
+    assert len({expr, FractionalExpression(7, (1, 2, 4))}) == 1
+    assert expr != FractionalExpression(7, (3, 5, 6))
+    assert expr != FractionalExpression(14, (1, 2, 4))
+    assert expr != (7, (1, 2, 4))
+    assert repr(expr) == "FractionalExpression(r=7, exponents=(1, 2, 4))"
+
+
 def test_age_requires_integrality():
     with pytest.raises(RequirementError):
         FractionalExpression(4, (1, 0)).age
@@ -365,7 +378,8 @@ def test_unpaired_age2_class_is_named(check):
     # inverses is left without a partner, and both checks name it
     table = graded_table("cyclic_7_124")
     dropped = table.gamma1_zero[-1]
-    tampered = replace(table, gamma1_zero=table.gamma1_zero[:-1])
+    tampered = GradedClassTable(table.group, table.classes, table.buckets,
+                                table.gamma1_zero[:-1])
     unpaired = _inverse_class(table, dropped)
     with pytest.raises(InternalInvariantError,
                        match=re.escape(f"the class of {_class_name(table, unpaired)}")):
@@ -376,7 +390,8 @@ def test_junior_class_with_inverse_of_wrong_age_is_named():
     # declare one age-2 class junior: its inverse class is junior, not age 2
     table = graded_table("cyclic_7_124")
     k = table.buckets[2][0]
-    tampered = replace(table, gamma1_zero=sorted([*table.gamma1_zero, k]))
+    tampered = GradedClassTable(table.group, table.classes, table.buckets,
+                                sorted([*table.gamma1_zero, k]))
     with pytest.raises(InternalInvariantError,
                        match=re.escape(
                            f"the class of {_class_name(table, k)}, of age 2, inverts "
@@ -390,11 +405,11 @@ def test_euler_mismatch_names_an_uncounted_class():
     # junior isolated-fixed-point list, so that only the Euler count fails
     table = graded_table("cyclic_7_124")
     k = table.buckets[2][0]
-    classes = [replace(c, age=3) if c.class_id == k else c for c in table.classes]
+    classes = [ClassGrading(c.class_id, c.representative, c.size, c.expression, 3)
+               if c.class_id == k else c for c in table.classes]
     buckets = {**table.buckets, 2: table.buckets[2][1:], 3: [k]}
     gamma1_zero = [j for j in table.gamma1_zero if j != _inverse_class(table, k)]
-    tampered = replace(table, classes=classes, buckets=buckets,
-                       gamma1_zero=gamma1_zero)
+    tampered = GradedClassTable(table.group, classes, buckets, gamma1_zero)
     with pytest.raises(InternalInvariantError,
                        match=re.escape(f"euler number 6 differs from class count 7: "
                                        f"the class of {_class_name(table, k)} has age 3")):

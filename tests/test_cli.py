@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -16,6 +19,8 @@ from mckay.groupfile import GroupFile
 from mckay.valuation import MAX_PROBE_MONOMIALS
 
 from conftest import CORPUS, group_path
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -332,18 +337,11 @@ def test_classes_on_a_cyclic_group_of_order_211(capsys, tmp_path):
 ])
 def test_stabilizer_that_is_no_subgroup_is_an_internal_error(
         capsys, monkeypatch, members, reason):
-    # after closing, h * A equals A * h exactly for the listed h, so that
-    # they form the centralizer of the class-1 representative A
+    # after closing, the listed h are reported as the centralizer of the
+    # class-1 representative A; products stay those of the group
     def tamper(group):
-        a, listed, real = group.classes[1].representative, set(members(group)), group.mul
-
-        def mul(i, j):
-            if j != a or i == a:
-                return real(i, j)
-            k = real(a, i)  # A * h, or A * A * h != A * h
-            return k if i in listed else real(a, k)
-
-        group.mul = mul
+        listed = members(group)
+        group.centralizer = lambda g: listed
 
     _tamper_after_closing(monkeypatch, tamper)
     code, out, err = run(capsys, "ram", "--class", "1", str(group_path("bd8")))
@@ -510,3 +508,30 @@ def test_corpus_stdout_matches_recorded_digests(capsys, monkeypatch):
         if got != expected[job.id]:
             mismatched[job.id] = got
     assert mismatched == {}
+
+
+def test_cli_import_loads_no_dataclasses():
+    # start-up is most of a command's time on the corpus files: the result
+    # records are plain classes, so importing the CLI pulls in neither
+    # `dataclasses` nor the `inspect` it imports
+    code = ("import sys; before = set(sys.modules); import mckay.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    added = out.split()
+    assert "mckay.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
+def test_readme_library_snippets_print_their_comments(capsys, monkeypatch):
+    # each `print(...)   # value` line of README's Library use section
+    snippets = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(snippets) == 2
+    monkeypatch.chdir(ROOT)  # the snippets name groups/<file>.grp
+    for code in snippets:
+        expected = [line.split("#", 1)[1].strip()
+                    for line in code.splitlines() if line.startswith("print(")]
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected

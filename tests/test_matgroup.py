@@ -282,6 +282,12 @@ def reference_structure(group):
     return identity, table, inverses, orders, classes, cyclic, maximal
 
 
+def oracle_centralizer(group, g):
+    """The member test `stab_group` made before `MatrixGroup.centralizer`:
+    h * g == g * h, each product a walk of its right factor's word."""
+    return [h for h in range(len(group)) if group.mul(h, g) == group.mul(g, h)]
+
+
 def assert_matches_reference(group):
     identity, table, inverses, orders, classes, cyclic, maximal = \
         reference_structure(group)
@@ -289,6 +295,8 @@ def assert_matches_reference(group):
     assert identity == 0
     assert [[group.mul(i, j) for j in range(n)] for i in range(n)] == table
     assert [group.inv(i) for i in range(n)] == inverses
+    assert [group.centralizer(g) for g in range(n)] == \
+        [oracle_centralizer(group, g) for g in range(n)]
     assert [e.order for e in group.elements] == orders
     assert [c.members for c in group.classes] == classes
     assert [c.representative for c in group.classes] == [m[0] for m in classes]
@@ -304,6 +312,18 @@ def assert_matches_reference(group):
     assert [group.cyclic_subgroup(i) for i in range(n)] == cyclic
     assert [(sg.generator, sg.members)
             for sg in group.maximal_cyclic_subgroups()] == maximal
+
+
+@pytest.mark.parametrize("name", ["bd8", "cyclic_7_124"])
+def test_inverted_file_inverts_only_the_generators(name):
+    gf = parse_group_file(group_path(name))
+    inverted = gf.inverted()
+    assert repr(inverted).startswith(f"GroupFile(format={gf.format!r}, ")
+    assert (inverted.format, inverted.dimension, inverted.cyclotomic_order,
+            inverted.generator_names) == \
+        (gf.format, gf.dimension, gf.cyclotomic_order, gf.generator_names)
+    for g, h in zip(gf.matrices(), inverted.matrices(), strict=True):
+        assert linalg.mat_mul(g, h) == linalg.identity(g[0][0].field, gf.dimension)
 
 
 @pytest.mark.parametrize("name", CORPUS)

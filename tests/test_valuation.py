@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -223,8 +223,12 @@ def test_walk_weights_that_differ_from_the_valuation_are_an_internal_error(
     # it disagrees with the first maximal walk through it, that of A:
     # exit 5, both elements named
     real = valuation.monomial_valuation
-    monkeypatch.setattr(valuation, "monomial_valuation", lambda *args:
-                        replace(real(*args), weights=(1, 3)))
+
+    def claim_weights(*args):
+        v = real(*args)
+        return valuation.MonomialValuation((1, 3), v.source_index, v.expression)
+
+    monkeypatch.setattr(valuation, "monomial_valuation", claim_weights)
     code = main(["ram", "--class", "3", str(group_path("bd8"))])
     captured = capsys.readouterr()
     assert (code, captured.out) == (5, "")
