@@ -56,9 +56,9 @@ class FractionalExpression(ValueRecord):
         return f"(1/{self.r})({','.join(map(str, self.exponents))})"
 
 
-def _walk_exponents(group: MatrixGroup, walk, trace) -> list[int]:
+def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
     """The exponents a, ascending with multiplicity, of the eigenvalues
-    zeta_R^a of x = walk[1], R = len(walk), from p_i = Tr(x^i) = trace(walk[i]).
+    zeta_R^a of x = walk[1], R = len(walk), from p_i = Tr(x^i) = Tr(walk[i]).
     The eigenvalue 1 has multiplicity m = (p_0 + ... + p_(R-1)) / R, taken
     as 0 unless that is an integer in [0, n], so that wrong traces still
     fail the split check or the trace-sum check.  Newton's identities give the
@@ -68,7 +68,7 @@ def _walk_exponents(group: MatrixGroup, walk, trace) -> list[int]:
     rule tries each R-th root but 1 and divides it out while it is a root;
     raises unless n roots are found."""
     n, R = group.dimension, len(walk)
-    p = [trace(y) for y in walk]
+    p = [group.trace(y) for y in walk]
     total = sum(p[1:], p[0])
     m = total.nums[0] // R
     if not (0 <= m <= n and total == R * m):
@@ -101,36 +101,25 @@ def _walk_exponents(group: MatrixGroup, walk, trace) -> list[int]:
     return exponents
 
 
-def _expression(group: MatrixGroup, index: int, by_generator,
-                trace) -> FractionalExpression:
-    """`eigen_exponents`, with walk generators' exponents in `by_generator`
-    and `trace(i)` the trace of element i."""
+def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
+    """Exponents (with multiplicity) of the element's eigenvalues as powers of
+    zeta_r = zeta_L^(L/r), r its order, L = lcm(N, r), zeta_L^(L/N) = zeta_N
+    of the group's field; read from the characteristic polynomial of its
+    walk, built once per walk and kept in `group.walk_exponents`."""
     walk, k = group.places[index]
     R, x = len(walk), walk[1 % len(walk)]
-    if x not in by_generator:  # x == 0 only for e, whose eigenvalues are 1
-        by_generator[x] = (_walk_exponents(group, walk, trace) if x
-                           else [0] * group.dimension)
+    known = group.walk_exponents
+    if x not in known:  # x == 0 only for e, whose eigenvalues are 1
+        known[x] = _walk_exponents(group, walk) if x else [0] * group.dimension
     g = gcd(R, k)
     r = R // g
-    exponents = sorted(a * k % R // g for a in by_generator[x])
+    exponents = sorted(a * k % R // g for a in known[x])
     field = cyclotomic_field(lcm(group.field.order, r))
     roots = field.element(Counter(field.order // r * e for e in exponents))
-    if roots != trace(index).embed(field):
+    if roots != group.trace(index).embed(field):
         raise InternalInvariantError(f"the eigenvalues derived for element "
                                      f"{group.describe(index)} do not sum to its trace")
     return FractionalExpression(r, tuple(exponents))
-
-
-def eigen_exponents(group: MatrixGroup, index: int,
-                    by_generator: dict | None = None) -> FractionalExpression:
-    """Exponents (with multiplicity) of the element's eigenvalues as powers of
-    zeta_r = zeta_L^(L/r), r its order, L = lcm(N, r), zeta_L^(L/N) = zeta_N
-    of the group's field; read from the characteristic polynomial of its walk.
-    `by_generator`, if given, maps walk generators to their exponents: read
-    from it, and filled with each polynomial built, so that calls sharing it
-    build one polynomial per walk."""
-    return _expression(group, index, {} if by_generator is None else by_generator,
-                       lambda i: group.elements[i].trace())
 
 
 class ClassGrading(Record):
@@ -161,17 +150,15 @@ def grade(group: MatrixGroup) -> GradedClassTable:
     members are compared on those, in the group's field."""
     if not group.in_sl:
         raise RequirementError("grading requires a subgroup of SL(n, C)")
-    traces = [element.trace() for element in group.elements]
 
     def power_traces(x):  # its length is the order of x
-        return [traces[group.power(x, k)] for k in range(group.elements[x].order)]
+        return [group.trace(group.power(x, k)) for k in range(group.orders[x])]
 
     gradings = []
     buckets: dict[int, list[int]] = {}
     gamma1_zero = []
-    by_generator = {}
     for k, cls in enumerate(group.classes):
-        expr = _expression(group, cls.representative, by_generator, traces.__getitem__)
+        expr = eigen_exponents(group, cls.representative)
         expected = power_traces(cls.representative) if len(cls) > 1 else None
         for member in cls.members:
             if member != cls.representative and power_traces(member) != expected:

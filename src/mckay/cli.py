@@ -187,7 +187,7 @@ def cmd_ram(args) -> str:
     body = {}
     if gf.format == "diagonal":
         # first, so that a probe degree over the limit is refused at once
-        probe = args.probe if args.probe else valuation.default_probe_degree(group)
+        probe = args.probe or valuation.default_probe_degree(group)
         fingerprint = valuation.valuation_fingerprint(
             gf.to_spec(), group, rep, probe)
         body["probe_degree"] = probe
@@ -197,11 +197,10 @@ def cmd_ram(args) -> str:
             for i in compress(range(gf.dimension), m):
                 key[i] = str(m[i])
             keyed[",".join(key)] = v if isinstance(v, int) else _frac(v)
-    by_generator = {}  # one characteristic polynomial per walk
-    v = valuation.monomial_valuation(group, rep, by_generator)
+    v = valuation.monomial_valuation(group, rep)
     expr = v.expression
     stab = valuation.stab_group(group, v)
-    ram = valuation.ram_group(group, v, by_generator)
+    ram = valuation.ram_group(group, v)
     a_f = sum(expr.exponents) - 1
     a_e = valuation.quotient_discrepancy(a_f, ram.degree)
     body.update({
@@ -222,7 +221,8 @@ def cmd_ram(args) -> str:
 
 
 def _positive_int(text: str) -> int:
-    """A `--max-order` value: an int of at least 1, else argparse's exit 2."""
+    """A `--max-order` or `--probe` value: an int of at least 1, else
+    argparse's exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "monomial valuation of a class")
     p_ram.add_argument("--class", dest="class_id", type=int, required=True,
                        help="conjugacy class id (see `classes`)")
-    p_ram.add_argument("--probe", type=int, default=0,
-                       help="probe degree for the invariant-monomial "
+    p_ram.add_argument("--probe", type=_positive_int,
+                       help="probe degree, at least 1, for the invariant-monomial "
                        "fingerprint (diagonal groups; default the group "
                        "exponent, lowered to fit the monomial limit); a "
                        "degree enumerating more than "

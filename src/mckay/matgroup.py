@@ -18,6 +18,8 @@ length r has order r/gcd(r, k), and its powers, its inverse and its cyclic
 subgroup are read off that walk.  Conjugacy classes are orbits under
 conjugation by the generators, g^-1 x g = (x^-1 g)^-1 g from the table;
 the maximal cyclic subgroups are the walks that no other walk contains.
+An element is its matrix; its order, inverse, class and trace are kept by
+the group.
 """
 
 from __future__ import annotations
@@ -29,23 +31,6 @@ from . import linalg
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
 
 DEFAULT_CAP = 100_000
-
-
-class GroupElement:
-    """An n x n matrix over Q(zeta_N) with its order and a stable index."""
-
-    __slots__ = ("entries", "order", "index")
-
-    def __init__(self, entries, index):
-        self.entries = entries
-        self.index = index
-        self.order = None  # filled in by the group once closed
-
-    def trace(self):
-        return linalg.trace(self.entries)
-
-    def __repr__(self):
-        return f"<GroupElement #{self.index} order={self.order}>"
 
 
 class ConjugacyClass:
@@ -74,16 +59,20 @@ class CyclicSubgroup:
 
 
 class MatrixGroup:
-    """A closed finite matrix group; immutable once constructed.
+    """A closed finite matrix group; immutable once constructed, but for
+    the traces and walk exponents it keeps once computed.
 
+    `elements[i]` is the matrix of element i, a tuple of row tuples.
     `right[k][i]` is the index of elements[i] * generator k, as recorded by
     the closure; products and classes are read from it.  `_tree[i]` is the
     tree entry (j, k, m) of elements[i], (0, None, 0) for the identity, and
     `runs(i)` reads its word, for products and names.  `_walks` holds one
     power walk (x^0, x^1, ..., x^(r-1)) for each x, in index order, that no
     earlier walk reached, and `places[i]` is the pair (walk, k) with
-    walk[k] == i from the first walk that reached i.  Orders, powers,
-    inverses, cyclic subgroups and (in `age`) eigenvalues are read from it.
+    walk[k] == i from the first walk that reached i.  `orders`, `inverses`,
+    powers and cyclic subgroups are read from it, and `class_of[i]` is the
+    class of element i.  `walk_exponents` maps a walk's generator to the
+    eigenvalue exponents that `age.eigen_exponents` reads off the walk.
     """
 
     def __init__(self, dimension, field, elements, generator_indices,
@@ -98,6 +87,7 @@ class MatrixGroup:
         self.in_sl = in_sl
         self._walks = []
         self.places = [None] * len(elements)
+        self.orders = [None] * len(elements)
         for x in range(len(elements)):
             if self.places[x] is not None:
                 continue
@@ -115,9 +105,12 @@ class MatrixGroup:
             for k, y in enumerate(walk):
                 if self.places[y] is None:
                     self.places[y] = (walk, k)
-                    elements[y].order = len(walk) // gcd(len(walk), k)
+                    self.orders[y] = len(walk) // gcd(len(walk), k)
+        self.inverses = [walk[-k % len(walk)] for walk, k in self.places]
         self.exponent = lcm(*(len(walk) for walk in self._walks))
-        self.class_of = {}
+        self._traces = [None] * len(elements)
+        self.walk_exponents = {}
+        self.class_of = [None] * len(elements)
         self.classes = self._conjugacy_classes()
 
     # -- basic structure ---------------------------------------------------
@@ -145,11 +138,18 @@ class MatrixGroup:
         return i
 
     def inv(self, i: int) -> int:
-        return self.power(i, -1)
+        return self.inverses[i]
 
     def power(self, i: int, m: int) -> int:
         walk, k = self.places[i]
         return walk[k * m % len(walk)]
+
+    def trace(self, i: int):
+        """The trace of elements[i], computed on first use and kept."""
+        t = self._traces[i]
+        if t is None:
+            t = self._traces[i] = linalg.trace(self.elements[i])
+        return t
 
     def element_name(self, i: int) -> str:
         return "*".join(self.generator_names[k] + (f"^{m}" if m > 1 else "")
@@ -157,20 +157,20 @@ class MatrixGroup:
 
     def describe(self, i: int) -> str:
         """The element's name and order, for error messages."""
-        return f"{self.element_name(i)} (order {self.elements[i].order})"
+        return f"{self.element_name(i)} (order {self.orders[i]})"
 
     def _conjugacy_classes(self):
         """Orbits of x -> g^-1 x g over the generators g, found in index
         order; fills `class_of`."""
-        inv, classes = self.inv, []
+        inv, classes = self.inverses, []
         for i in range(len(self.elements)):
-            if i in self.class_of:
+            if self.class_of[i] is not None:
                 continue
             orbit, todo = {i}, [i]
             while todo:
-                x_inv = inv(todo.pop())
+                x_inv = inv[todo.pop()]
                 for row in self._right:
-                    y = row[inv(row[x_inv])]
+                    y = row[inv[row[x_inv]]]
                     if y not in orbit:
                         orbit.add(y)
                         todo.append(y)
@@ -186,7 +186,7 @@ class MatrixGroup:
         """The elements commuting with elements[g], in index order: one
         breadth-first sweep sets conj[h] = h^-1 g h, as conj[p * g_k] =
         g_k^-1 conj[p] g_k by the table lookup of `_conjugacy_classes`."""
-        inv = [walk[-k % len(walk)] for walk, k in self.places]
+        inv = self.inverses
         conj = [None] * len(self.elements)
         conj[0] = g
         for p, x in enumerate(conj):
@@ -219,12 +219,14 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     """Breadth-first closure of a generator list under multiplication.
 
     `rows` holds the distinct row vectors met so far, and an element is the
-    tuple of its row ids, deduplicated on that tuple; `GroupElement.entries`
-    shares the row tuples.  The image of a row under generator k is computed
-    once, when first needed, by the generator's `linalg.RightMultiplier` on
+    tuple of its row ids, deduplicated on that tuple; its matrix shares the
+    row tuples.  The image of a row under generator k is computed once, when first needed, by the generator's `linalg.RightMultiplier` on
     a 1 x n matrix, so the field work is (distinct rows) x (generators) row
     products.  The result contains the identity and all products and
     inverses; raises ClosureCapError if more than `cap` elements appear.
+    A generator's trace, a sum of n roots of unity, must be integral in the
+    power basis of Z[zeta_N] and at most n when rational; a generator of
+    infinite order failing this is refused before any closure work.
     """
     if not generators:
         raise RequirementError("at least one generator is required")
@@ -241,6 +243,13 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
             raise RequirementError("non-invertible generator")
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
+    for name, g in zip(names, generators):
+        t = linalg.trace(g)
+        q = t.as_rational()
+        if t.den != 1 or (q is not None and abs(q) > n):
+            raise RequirementError(f"generator {name} has infinite order: its "
+                                   f"trace {t.to_literal()} is not a sum of "
+                                   f"{n} roots of unity")
 
     rows = []
     row_of = {}
@@ -272,7 +281,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
             if len(elements) >= cap:
                 raise ClosureCapError(cap)
             index = len(elements)
-            elements.append(GroupElement(tuple(rows[r] for r in ids), index))
+            elements.append(tuple(rows[r] for r in ids))
             ids_of.append(ids)
             index_of[ids] = index
             tree.append(entry)

@@ -51,7 +51,7 @@ def junior_chains(group: MatrixGroup) -> list[CyclicChain]:
     chains = []
     for subgroup in group.maximal_cyclic_subgroups():
         g = subgroup.generator
-        r = group.elements[g].order
+        r = group.orders[g]
         expr = eigen_exponents(group, g)
         a = expr.exponents[0] if expr.exponents[0] != 0 else expr.exponents[1]
         if gcd(a, r) != 1:

@@ -76,22 +76,20 @@ def _primitivize(exponents) -> tuple[int, ...]:
     return tuple(a // g for a in exponents)
 
 
-def monomial_valuation(group: MatrixGroup, index: int,
-                       by_generator: dict | None = None) -> MonomialValuation:
+def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     """The monomial valuation attached to a group element through its
-    eigenvalue exponents, primitivized to a lattice-primitive weighting;
-    `by_generator` is as in `eigen_exponents`.
+    eigenvalue exponents, primitivized to a lattice-primitive weighting.
 
     The exponents a_i of g, of order r, must give the power sums
     sum_i zeta_r^(k a_i) = Tr(g^k) for k = 1..min(n, r - 1).  Both sides
     have period r in k and equal n at k = 0, so these k give p_1..p_n, and
     by Newton's identities p_1..p_n fix the multiset of n eigenvalues."""
-    expr = eigen_exponents(group, index, by_generator)
+    expr = eigen_exponents(group, index)
     field = cyclotomic_field(lcm(group.field.order, expr.r))
     step = field.order // expr.r
     for k in range(1, min(group.dimension, expr.r - 1) + 1):
         power_sum = field.element(Counter(step * k * a for a in expr.exponents))
-        if power_sum != group.elements[group.power(index, k)].trace().embed(field):
+        if power_sum != group.trace(group.power(index, k)).embed(field):
             raise InternalInvariantError(
                 f"the eigenvalues derived for element {group.describe(index)}, "
                 f"raised to the power {k}, do not sum to the trace of its "
@@ -146,11 +144,9 @@ class RamificationGroup(ValueRecord):
         self.degree = degree
 
 
-def ram_group(group: MatrixGroup, v: MonomialValuation,
-              by_generator: dict | None = None) -> RamificationGroup:
+def ram_group(group: MatrixGroup, v: MonomialValuation) -> RamificationGroup:
     """The cyclic subgroup acting as diag(eps^{b_1},...,eps^{b_n}) in the
     eigenbasis of the source element g; raises if it fails to be cyclic.
-    `by_generator` is as in `eigen_exponents`.
 
     For each maximal walk through g, with generator x of order R, g = x^m
     and a_i the exponents of x: g has the exponents a_i m mod R, whose
@@ -166,7 +162,7 @@ def ram_group(group: MatrixGroup, v: MonomialValuation,
             continue
         x = subgroup.generator
         walk = group.places[x][0]
-        R, a = len(walk), eigen_exponents(group, x, by_generator).exponents
+        R, a = len(walk), eigen_exponents(group, x).exponents
         b = _primitivize(tuple(ai * walk.index(g) % R for ai in a))
         if sorted(b) != sorted(v.weights):
             raise InternalInvariantError(
@@ -206,7 +202,7 @@ def valuation_fingerprint(
         raise ProbeCapError(probe_degree, n, count, MAX_PROBE_MONOMIALS)
     L, generator_exps = spec.exponent_vectors()
     g_exps = spec.word_vector(group.runs(index))
-    r, step = group.elements[index].order, gcd(L, *g_exps)
+    r, step = group.orders[index], gcd(L, *g_exps)
     if L // step != r:
         raise InternalInvariantError(
             f"exponent vector (1/{L}){g_exps} of element "

@@ -195,7 +195,7 @@ def test_criterion_8_ramification_suite():
                 v = monomial_valuation(group, rep)
                 ram = ram_group(group, v)  # cyclicity asserted inside
                 assert set(ram.members) == group.cyclic_subgroup(rep), name
-                assert ram.degree == group.elements[rep].order
+                assert ram.degree == group.orders[rep]
                 a_f = sum(expr.exponents) - 1
                 assert quotient_discrepancy(a_f, ram.degree) == 0
                 assert set(ram.members) <= set(stab_group(group, v))

@@ -271,9 +271,9 @@ def test_eigenvalues_that_miss_the_trace_are_an_internal_error(capsys, monkeypat
     # k <= 3, of its characteristic polynomial, so the polynomial splits
     # and the roots derived for g1^4 miss the trace that g1^4 now holds
     def swap(group):
-        g = group.generator_indices[0]
-        a, b = (group.elements[group.power(g, -k)] for k in (2, 3))
-        a.entries, b.entries = b.entries, a.entries
+        g, elements = group.generator_indices[0], group.elements
+        a, b = (group.power(g, -k) for k in (2, 3))
+        elements[a], elements[b] = elements[b], elements[a]
 
     _tamper_after_closing(monkeypatch, swap)
     code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))
@@ -289,9 +289,9 @@ def test_internal_error_names_the_element(capsys, monkeypatch):
     # its trace, but g^2 = x^4 now holds the trace of x^5: the power sum at
     # k = 2 is an invariant failure, exit 5, naming g, stdout empty
     def swap(group):
-        x = group.generator_indices[0]
-        a, b = (group.elements[group.power(x, k)] for k in (4, 5))
-        a.entries, b.entries = b.entries, a.entries
+        x, elements = group.generator_indices[0], group.elements
+        a, b = (group.power(x, k) for k in (4, 5))
+        elements[a], elements[b] = elements[b], elements[a]
 
     _tamper_after_closing(monkeypatch, swap)
     code, out, err = run(capsys, "ram", "--class", "2",
@@ -309,7 +309,7 @@ def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
     def replace_generator(group):
         field = group.field
         diagonal = (Fraction(2), Fraction(3), Fraction(1, 6))
-        group.elements[group.generator_indices[0]].entries = tuple(
+        group.elements[group.generator_indices[0]] = tuple(
             tuple(field.from_rational(diagonal[i] if i == j else 0)
                   for j in range(3)) for i in range(3))
 
@@ -476,6 +476,39 @@ def test_max_order_below_1_is_refused_at_parse_time(capsys, command, cap):
     assert (raised.value.code, captured.out) == (2, "")
     assert captured.err.endswith(
         f"error: argument --max-order: must be at least 1, got {cap}\n")
+
+
+@pytest.mark.parametrize("name", ["cyclic_7_124", "bd8"])  # diagonal, matrix
+@pytest.mark.parametrize("probe", ["0", "-2"])
+def test_probe_below_1_is_refused_at_parse_time(capsys, name, probe):
+    # as with --max-order, in either file format: 0 did not mean the
+    # default degree, and -2 was exit 3 or ignored
+    with pytest.raises(SystemExit) as raised:
+        main(["ram", "--class", "1", str(group_path(name)), "--probe", probe])
+    captured = capsys.readouterr()
+    assert (raised.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        f"error: argument --probe: must be at least 1, got {probe}\n")
+
+
+@pytest.mark.parametrize("rows, trace", [
+    ("1/2, 0\n0, 2\n", "5/2"),  # not an algebraic integer, nor at most 2
+    ("0, -1\n1, 1/2\n", "1/2"),  # not an algebraic integer
+    ("2, 1\n1, 1\n", "3"),  # an integer, but more than the dimension 2
+], ids=["diag(1/2,2)", "[[0,-1],[1,1/2]]", "[[2,1],[1,1]]"])
+def test_generator_of_infinite_order_fails_fast(capsys, tmp_path, rows, trace):
+    # the trace of a generator of finite order is a sum of n roots of
+    # unity; the closure of these ran to the cap (at the default cap for
+    # 150 s and 1 GB, and for 33 s and 3.7 GB)
+    path = tmp_path / "infinite.grp"
+    path.write_text("format matrix\ndimension 2\ncyclotomic_order 1\n"
+                    "generator A\n" + rows)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", str(path), "--max-order", "5000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: generator A has infinite order: its trace {trace} "
+                   "is not a sum of 2 roots of unity\n")
 
 
 def test_output_is_sorted_and_stable(capsys):

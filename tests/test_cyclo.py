@@ -363,15 +363,15 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, forbidden)
     with pytest.raises(AssertionError):
         Fraction(1, 2) + 1
-    for element in icosahedral.elements:
+    for index, element in enumerate(icosahedral.elements):
         for k, g in enumerate(icosahedral.generator_indices):
-            product = linalg.mat_mul(element.entries, icosahedral.elements[g].entries)
-            image = icosahedral.elements[icosahedral._right[k][element.index]]
-            assert product == image.entries
+            product = linalg.mat_mul(element, icosahedral.elements[g])
+            image = icosahedral.elements[icosahedral._right[k][index]]
+            assert product == image
             assert [hash(x) for row in product for x in row] == \
-                [hash(x) for row in image.entries for x in row]
-        embedded = linalg.mat_embed(element.entries, target)
-        assert linalg.trace(embedded) == linalg.trace(element.entries).embed(target)
+                [hash(x) for row in image for x in row]
+        embedded = linalg.mat_embed(element, target)
+        assert linalg.trace(embedded) == linalg.trace(element).embed(target)
     for name, group in groups.items():
         assert grade(group).buckets == expected[name]
 

@@ -28,7 +28,7 @@ def test_bd8_folds_to_d4():
     rep = group.classes[center].representative
     assert rep == group.power(group.generator_indices[0], 2)
     assert len(group.classes[center]) == 1
-    assert group.elements[rep].order == 2
+    assert group.orders[rep] == 2
 
 
 def test_bd12_folds_to_d5():
@@ -72,11 +72,11 @@ def test_junior_chain_order_bd8():
     from mckay.age import eigen_exponents
 
     for chain in chains:
-        assert len(chain.nodes) == group.elements[chain.generator].order - 1
+        assert len(chain.nodes) == group.orders[chain.generator] - 1
         # interval position j carries the element with first exponent j
         for j, node in enumerate(chain.nodes, start=1):
             expr = eigen_exponents(group, node)
-            r = group.elements[chain.generator].order
+            r = group.orders[chain.generator]
             scale = r // expr.r
             assert j in tuple(e * scale for e in expr.exponents)
         assert len(chain.edges) == len(chain.nodes) - 1

@@ -47,9 +47,9 @@ def eigen_decompose(group, index):
     g embedded into Q(zeta_lcm(N, r)), whose dimensions must be the
     exponents' multiplicities, and g * v = zeta_r^a * v on every column."""
     expr = eigen_exponents(group, index)
-    r = group.elements[index].order
+    r = group.orders[index]
     field = cyclotomic_field(lcm(group.field.order, r))
-    entries = linalg.mat_embed(group.elements[index].entries, field)
+    entries = linalg.mat_embed(group.elements[index], field)
     step = field.order // r
     n = group.dimension
     columns, exps = [], []
@@ -82,7 +82,7 @@ def test_eigen_decompose_bd8_b():
 def test_eigen_decompose_permutation():
     group = closed_group("trihedral27")
     t = group.generator_indices[1]
-    assert group.elements[t].order == 3
+    assert group.orders[t] == 3
     dec = eigen_decompose(group, t)
     assert dec.expression.exponents == (0, 1, 2)
 
@@ -91,7 +91,7 @@ def test_monomial_valuation_primitivizes():
     group = _diag_group(2, [(4, (2, 2))])
     g = group.generator_indices[0]
     v = monomial_valuation(group, g)
-    assert group.elements[g].order == 2
+    assert group.orders[g] == 2
     assert v.weights == (1, 1)
 
 
@@ -100,9 +100,9 @@ def test_power_sums_are_checked_up_to_the_dimension():
     # traces Tr(x^k), k <= 3, of its walk polynomial: g = x^4 keeps Tr(g)
     # and Tr(g^2) = Tr(x), but g^3 = x^5 now holds the trace of x^6
     group = _diag_group(3, [(7, (1, 1, 5))])
-    x = group.generator_indices[0]
-    a, b = (group.elements[group.power(x, k)] for k in (5, 6))
-    a.entries, b.entries = b.entries, a.entries
+    x, elements = group.generator_indices[0], group.elements
+    a, b = (group.power(x, k) for k in (5, 6))
+    elements[a], elements[b] = elements[b], elements[a]
     with pytest.raises(InternalInvariantError, match=r"^the eigenvalues derived "
                        r"for element g1\^4 \(order 7\), raised to the power 3,"):
         monomial_valuation(group, group.power(x, 4))
@@ -113,7 +113,7 @@ def test_power_sums_reject_exponents_that_only_match_the_trace(monkeypatch):
     # has the same trace 0, but its squares sum to 4, not to Tr(g^2) = 0
     group = _diag_group(4, [(4, (0, 1, 2, 3))])
     monkeypatch.setattr(age, "_walk_exponents",
-                        lambda group, walk, trace: [0, 0, 2, 2])
+                        lambda group, walk: [0, 0, 2, 2])
     with pytest.raises(InternalInvariantError, match="raised to the power 2,"):
         monomial_valuation(group, group.generator_indices[0])
 
@@ -150,11 +150,11 @@ def test_stab_and_ram_for_scalar_junior():
     g = next(
         i for i in range(1, len(group))
         if all(
-            group.elements[i].entries[p][q] == (
-                group.elements[i].entries[0][0] if p == q else group.field.zero()
+            group.elements[i][p][q] == (
+                group.elements[i][0][0] if p == q else group.field.zero()
             )
             for p in range(3) for q in range(3)
-        ) and group.elements[i].order == 3
+        ) and group.orders[i] == 3
     )
     v = monomial_valuation(group, g)
     assert v.weights == (1, 1, 1)
@@ -186,7 +186,7 @@ def _in_eigenbasis(group, v):
     field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
     for h, element in enumerate(group.elements):
         yield h, linalg.mat_mul(basis_inverse, linalg.mat_mul(
-            linalg.mat_embed(element.entries, field), basis))
+            linalg.mat_embed(element, field), basis))
 
 
 def _block_diagonal_members(group, v):
@@ -395,7 +395,7 @@ def oracle_ram_group(group, v):
     members = []
     for h in stab_group(group, v):
         m = linalg.mat_mul(basis_inverse, times_basis(
-            linalg.mat_embed(group.elements[h].entries, field)))
+            linalg.mat_embed(group.elements[h], field)))
         assert not any(m[i][j] for i in range(n) for j in range(n)
                        if weights[i] != weights[j])
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
@@ -444,13 +444,17 @@ def test_ram_equals_the_conjugation_oracle_off_the_diagonal(data):
 
 def test_ram_builds_one_polynomial_per_walk(capsys, monkeypatch, tmp_path):
     # class 1 of (1/211)(1,2,208) generates the one walk; the valuation and
-    # Ram share its characteristic polynomial
+    # Ram share its characteristic polynomial, which the group keeps, in
+    # the CLI and in library calls alike
     path = tmp_path / "cyclic211.grp"
     path.write_text("format diagonal\ndimension 3\ngenerator 211 : 1 2 208\n")
     walks = _counted_walks(monkeypatch)
     assert main(["ram", "--class", "1", str(path)]) == 0
     assert capsys.readouterr().err == ""
     assert len(walks) == 1
+    group = _diag_group(3, [(211, (1, 2, 208))])
+    ram_group(group, monomial_valuation(group, group.classes[1].representative))
+    assert len(walks) == 2
 
 
 def test_ram_reads_integers_off_the_walks(monkeypatch):
@@ -488,7 +492,7 @@ def test_valuation_from_weights():
     # scalars {I, -I}
     group = closed_group("bd8")
     minus_one = next(i for i in range(1, len(group))
-                     if group.elements[i].order == 2)
+                     if group.orders[i] == 2)
     v = monomial_valuation(group, minus_one)
     assert v.weights == (1, 1)
     assert len(stab_group(group, v)) == 8
@@ -530,10 +534,10 @@ def _scan_diagonal_exponents(group, index):
     entry_ii = zeta_N^{e_i}, trying k = 0..N-1."""
     element, field = group.elements[index], group.field
     n = group.dimension
-    assert not any(element.entries[i][j]
+    assert not any(element[i][j]
                    for i in range(n) for j in range(n) if i != j)
     return tuple(next(k for k in range(field.order)
-                      if element.entries[i][i] == field.zeta(k))
+                      if element[i][i] == field.zeta(k))
                  for i in range(n))
 
 
@@ -557,7 +561,7 @@ def _scan_fingerprint(group, index, probe_degree):
     L, n = group.field.order, group.dimension
     generator_exps = [_scan_diagonal_exponents(group, i)
                       for i in group.generator_indices]
-    r = group.elements[index].order
+    r = group.orders[index]
     b = _primitivize(tuple(e // (L // r)
                            for e in _scan_diagonal_exponents(group, index)))
     fingerprint = {}
@@ -596,7 +600,7 @@ def test_word_vectors_and_fingerprints_match_the_scan(spec):
             vector = s.word_vector(group.runs(i))
             assert vector == _scan_diagonal_exponents(group, i)
             # the walk polynomial agrees with the spec's integer vector
-            step = L // group.elements[i].order
+            step = L // group.orders[i]
             assert monomial_valuation(group, i).expression.exponents == \
                 tuple(sorted(e // step for e in vector))
             for probe in range(1, 7):
