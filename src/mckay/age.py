@@ -32,17 +32,12 @@ class FractionalExpression(ValueRecord):
         return hash((self.r, self.exponents))
 
     @property
-    def age_fraction(self) -> Fraction:
-        return Fraction(sum(self.exponents), self.r)
-
-    @property
     def age(self) -> int:
-        a = self.age_fraction
-        if a.denominator != 1:
-            raise RequirementError(
-                f"age {a} is not an integer; element is not in SL"
-            )
-        return a.numerator
+        age, rest = divmod(sum(self.exponents), self.r)
+        if rest:
+            raise RequirementError(f"age {Fraction(sum(self.exponents), self.r)} "
+                                   "is not an integer; element is not in SL")
+        return age
 
     @property
     def fix_dim(self) -> int:
@@ -167,10 +162,10 @@ def grade(group: MatrixGroup) -> GradedClassTable:
                     f"{group.describe(member)} differs from its representative "
                     f"{group.describe(cls.representative)}"
                 )
-        grading = ClassGrading(k, cls.representative, len(cls.members), expr, expr.age)
-        gradings.append(grading)
-        buckets.setdefault(expr.age, []).append(k)
-        if expr.age == 1 and expr.fix_dim == 0:
+        age = expr.age
+        gradings.append(ClassGrading(k, cls.representative, len(cls.members), expr, age))
+        buckets.setdefault(age, []).append(k)
+        if age == 1 and expr.fix_dim == 0:
             gamma1_zero.append(k)
     if buckets.get(0) != [group.class_of[0]] or gradings[group.class_of[0]].size != 1:
         raise InternalInvariantError("age-0 stratum is not exactly the identity class")
@@ -185,7 +180,7 @@ def _unpaired_class(table: GradedClassTable) -> str:
     junior0, age2 = set(table.gamma1_zero), set(table.buckets.get(2, []))
     for k in sorted(junior0 | age2):
         rep = group.classes[k].representative
-        j = group.class_of[group.inv(rep)]
+        j = group.class_of[group.inverses[rep]]
         if j not in (age2 if k in junior0 else junior0):
             return (f"the class of {group.describe(rep)}, of age "
                     f"{table.classes[k].age}, inverts into the class of "
@@ -205,7 +200,7 @@ def inverse_bijection(table: GradedClassTable) -> dict[int, int]:
     mapping = {}
     for class_id in table.gamma1_zero:
         rep = group.classes[class_id].representative
-        mapping[class_id] = group.class_of[group.inv(rep)]
+        mapping[class_id] = group.class_of[group.inverses[rep]]
     if sorted(mapping.values()) != sorted(table.buckets.get(2, [])):
         raise InternalInvariantError(
             "g -> g^-1 does not map junior isolated-fixed-point classes "

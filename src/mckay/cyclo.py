@@ -258,12 +258,6 @@ class CycNum:
 
     __radd__ = __add__
 
-    def __rsub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         """Integer convolution of the numerators, reduced modulo Phi_R
         (`_dot` of one pair); the denominators multiply."""
@@ -297,18 +291,6 @@ class CycNum:
             else:
                 self._hash = hash(Fraction(self.nums[0], self.den))
         return self._hash
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def inverse(self) -> "CycNum":
         """Multiplicative inverse via the extended Euclidean algorithm on
@@ -350,12 +332,6 @@ class CycNum:
                 t_next[i] -= c
             r0, r1 = r1, rem
             t0, t1 = t1, t_next
-
-    def __truediv__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def as_rational(self) -> Fraction | None:
         """The rational value if this element lies in Q, else None."""

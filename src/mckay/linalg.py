@@ -2,9 +2,9 @@
 
 Matrices are tuples of row tuples of CycNum.  Each product entry is one
 call of the integer kernel `cyclo._dot`, and `RightMultiplier` extracts the
-numerator terms of a fixed right factor once.  `det`, `rref`,
-`kernel_basis` and `mat_inv` run on one elimination, `_eliminate`, which
-inverts a pivot only when an entry must be divided by it.
+numerator terms of a fixed right factor once.  `det`, `rref` and `mat_inv`
+run on one elimination, `_eliminate`, which inverts a pivot only when an
+entry must be divided by it.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class RightMultiplier:
                 for column in self.columns
             ))
         return tuple(out)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return RightMultiplier(b)(a)
 
 
 def trace(a: Matrix) -> CycNum:
@@ -116,22 +112,6 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), pivots
 
 
-def kernel_basis(a: Matrix) -> list[tuple[CycNum, ...]]:
-    """Basis of the right kernel, deterministic (free columns in order)."""
-    field = a[0][0].field
-    echelon, pivots = rref(a)
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero()] * ncols
-        v[f] = field.one()
-        for r, p in enumerate(pivots):
-            v[p] = -echelon[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
 def mat_inv(a: Matrix) -> Matrix:
     n = len(a)
     field = a[0][0].field
@@ -140,7 +120,3 @@ def mat_inv(a: Matrix) -> Matrix:
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return tuple(row[n:] for row in echelon)
-
-
-def mat_embed(a: Matrix, target: CyclotomicField) -> Matrix:
-    return tuple(tuple(x.embed(target) for x in row) for row in a)

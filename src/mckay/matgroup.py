@@ -126,9 +126,6 @@ class MatrixGroup:
             runs.append((k, m))
         return runs[::-1]
 
-    def mul(self, i: int, j: int) -> int:
-        return self.times(i, self.runs(j))
-
     def times(self, i: int, runs) -> int:
         """elements[i] times the word of the runs [(k, m), ...]."""
         for k, m in runs:
@@ -136,9 +133,6 @@ class MatrixGroup:
             for _ in range(m):
                 i = row[i]
         return i
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
 
     def power(self, i: int, m: int) -> int:
         walk, k = self.places[i]
@@ -215,18 +209,35 @@ class MatrixGroup:
         return subgroups
 
 
+def _require_finite_order(matrix, names, tree, entry):
+    """The trace of a matrix of finite order is a sum of n roots of unity:
+    integral in the power basis of Z[zeta_N] and, when rational, at most n
+    in absolute value.  Otherwise the word of length 1 or 2 of the tree
+    `entry` (j, k, m) is named: g_k^m after the one letter of element j."""
+    n, t = len(matrix), linalg.trace(matrix)
+    q = t.as_rational()
+    if t.den != 1 or (q is not None and abs(q) > n):
+        j, k, m = entry
+        word = (f"{names[tree[j][1]]}*" if j else "") + names[k] + (f"^{m}" if m > 1 else "")
+        raise RequirementError(f"{'element' if j or m > 1 else 'generator'} {word} "
+                               f"has infinite order: its trace {t.to_literal()} "
+                               f"is not a sum of {n} roots of unity")
+
+
 def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     """Breadth-first closure of a generator list under multiplication.
 
     `rows` holds the distinct row vectors met so far, and an element is the
     tuple of its row ids, deduplicated on that tuple; its matrix shares the
-    row tuples.  The image of a row under generator k is computed once, when first needed, by the generator's `linalg.RightMultiplier` on
-    a 1 x n matrix, so the field work is (distinct rows) x (generators) row
+    row tuples.  The image of a row under generator k is computed once,
+    when first needed, by the generator's `linalg.RightMultiplier` on a
+    1 x n matrix, so the field work is (distinct rows) x (generators) row
     products.  The result contains the identity and all products and
     inverses; raises ClosureCapError if more than `cap` elements appear.
-    A generator's trace, a sum of n roots of unity, must be integral in the
-    power basis of Z[zeta_N] and at most n when rational; a generator of
-    infinite order failing this is refused before any closure work.
+    The words of length 1 and 2, the generators and the new elements found
+    while the scan visits the identity and the generators, must pass the
+    trace test of `_require_finite_order`; one that fails it has infinite
+    order and is refused before the closure goes on.
     """
     if not generators:
         raise RequirementError("at least one generator is required")
@@ -243,13 +254,6 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
             raise RequirementError("non-invertible generator")
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
-    for name, g in zip(names, generators):
-        t = linalg.trace(g)
-        q = t.as_rational()
-        if t.den != 1 or (q is not None and abs(q) > n):
-            raise RequirementError(f"generator {name} has infinite order: its "
-                                   f"trace {t.to_literal()} is not a sum of "
-                                   f"{n} roots of unity")
 
     rows = []
     row_of = {}
@@ -275,21 +279,25 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     index_of = {}
     tree = []
 
-    def add(ids, entry):
+    def add(ids, entry, check):
         index = index_of.get(ids)
         if index is None:
+            matrix = tuple(rows[r] for r in ids)
+            if check:
+                _require_finite_order(matrix, names, tree, entry)
             if len(elements) >= cap:
                 raise ClosureCapError(cap)
             index = len(elements)
-            elements.append(tuple(rows[r] for r in ids))
+            elements.append(matrix)
             ids_of.append(ids)
             index_of[ids] = index
             tree.append(entry)
         return index
 
-    add(tuple(row_id(row) for row in linalg.identity(field, n)), (0, None, 0))
-    generator_indices = tuple(add(tuple(row_id(tuple(row)) for row in g), (0, k, 1))
+    add(tuple(row_id(row) for row in linalg.identity(field, n)), (0, None, 0), False)
+    generator_indices = tuple(add(tuple(row_id(tuple(row)) for row in g), (0, k, 1), True)
                               for k, g in enumerate(generators))
+    short = max(generator_indices)  # scanning p <= short adds the words of length 2
     right = [[] for _ in generators]
     # `ids_of` grows during the scan, so this visits elements in
     # breadth-first order and right[k][p] is filled for every p.
@@ -297,7 +305,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
         j, last, m = tree[p]
         for k in range(len(generators)):
             entry = (j, k, m + 1) if k == last else (p, k, 1)
-            right[k].append(add(tuple(image(r, k) for r in ids), entry))
+            right[k].append(add(tuple(image(r, k) for r in ids), entry, p <= short))
 
     in_sl = all(d == 1 for d in determinants)
     return MatrixGroup(n, field, elements, generator_indices, list(names),

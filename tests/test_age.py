@@ -117,9 +117,9 @@ def test_eigen_exponents_match_the_trace_formula_off_the_diagonal(data):
     field = diagonal[0][0][0].field
     p = tuple(tuple(field.from_rational(c) for c in row)
               for row in data.draw(unimodular_matrices(spec.n)))
-    p_inv = linalg.mat_inv(p)
+    p_inv, times_p = linalg.mat_inv(p), linalg.RightMultiplier(p)
     _assert_matches_oracle(close_group(
-        [linalg.mat_mul(linalg.mat_mul(p_inv, d), p) for d in diagonal]))
+        [times_p(linalg.RightMultiplier(d)(p_inv)) for d in diagonal]))
 
 
 def _counted_walks(monkeypatch):
@@ -205,7 +205,7 @@ def test_eigen_exponents_match_diagonal_readoff():
 
 def test_eigen_exponents_match_kernel_ranks():
     # independent oracle: multiplicity of zeta_r^a equals the kernel
-    # dimension of g - zeta_r^a * I
+    # dimension of g - zeta_r^a * I, n minus the rank its `rref` finds
     for name in ("bd8", "trihedral27"):
         group = closed_group(name)
         field = group.field
@@ -225,7 +225,7 @@ def test_eigen_exponents_match_kernel_ranks():
                     )
                     for p in range(n)
                 )
-                rank_defect = len(linalg.kernel_basis(shifted))
+                rank_defect = n - len(linalg.rref(shifted)[1])
                 assert rank_defect == expr.exponents.count(a)
 
 
@@ -313,7 +313,7 @@ def test_inverse_bijection_cyclic7():
     # the map is induced by g -> g^-1
     for src, dst in mapping.items():
         rep = group.classes[src].representative
-        assert group.class_of[group.inv(rep)] == dst
+        assert group.class_of[group.inverses[rep]] == dst
 
 
 def test_inverse_duality_of_expressions():
@@ -326,7 +326,7 @@ def test_inverse_duality_of_expressions():
             if i == 0:
                 continue
             expr = eigen_exponents(group, i)
-            inv_expr = eigen_exponents(group, group.inv(i))
+            inv_expr = eigen_exponents(group, group.inverses[i])
             assert inv_expr == _flipped(expr)
             if expr.fix_dim == 0:
                 assert expr.age + inv_expr.age == n
@@ -366,7 +366,7 @@ def test_grade_rejects_a_class_that_is_not_age_constant(monkeypatch):
 
 def _inverse_class(table, k):
     group = table.group
-    return group.class_of[group.inv(group.classes[k].representative)]
+    return group.class_of[group.inverses[group.classes[k].representative]]
 
 
 def _class_name(table, k):

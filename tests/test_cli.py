@@ -491,23 +491,30 @@ def test_probe_below_1_is_refused_at_parse_time(capsys, name, probe):
         f"error: argument --probe: must be at least 1, got {probe}\n")
 
 
-@pytest.mark.parametrize("rows, trace", [
-    ("1/2, 0\n0, 2\n", "5/2"),  # not an algebraic integer, nor at most 2
-    ("0, -1\n1, 1/2\n", "1/2"),  # not an algebraic integer
-    ("2, 1\n1, 1\n", "3"),  # an integer, but more than the dimension 2
-], ids=["diag(1/2,2)", "[[0,-1],[1,1/2]]", "[[2,1],[1,1]]"])
-def test_generator_of_infinite_order_fails_fast(capsys, tmp_path, rows, trace):
-    # the trace of a generator of finite order is a sum of n roots of
-    # unity; the closure of these ran to the cap (at the default cap for
-    # 150 s and 1 GB, and for 33 s and 3.7 GB)
+@pytest.mark.parametrize("generators, word, trace", [
+    ("A\n1/2, 0\n0, 2\n", "generator A", "5/2"),  # not an algebraic integer, nor <= 2
+    ("A\n0, -1\n1, 1/2\n", "generator A", "1/2"),  # not an algebraic integer
+    ("A\n2, 1\n1, 1\n", "generator A", "3"),  # an integer, but more than 2
+    # the infinite dihedral group: its generators have the trace 0, and
+    # their product is diag(1/2, 2)
+    ("A\n0, 1\n1, 0\ngenerator B\n0, 2\n1/2, 0\n", "element A*B", "5/2"),
+    ("A\n0, 2\n1, 0\n", "element A^2", "4"),  # the trace of A is 0, A^2 = 2I
+], ids=["diag(1/2,2)", "[[0,-1],[1,1/2]]", "[[2,1],[1,1]]", "infinite dihedral",
+        "[[0,2],[1,0]]"])
+def test_generator_of_infinite_order_fails_fast(capsys, tmp_path, generators,
+                                                word, trace):
+    # the trace of an element of finite order is a sum of n roots of unity,
+    # and the words of length 1 and 2 are tested; the closure of these ran
+    # to the cap (at the default cap for 150 s and 1 GB, for 33 s and
+    # 3.7 GB, and for 66 s and 250 MB)
     path = tmp_path / "infinite.grp"
     path.write_text("format matrix\ndimension 2\ncyclotomic_order 1\n"
-                    "generator A\n" + rows)
+                    "generator " + generators)
     start = time.perf_counter()
     code, out, err = run(capsys, "info", str(path), "--max-order", "5000")
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert err == (f"error: generator A has infinite order: its trace {trace} "
+    assert err == (f"error: {word} has infinite order: its trace {trace} "
                    "is not a sum of 2 roots of unity\n")
 
 

@@ -35,6 +35,19 @@ def multiplicative_order(x):
     raise RequirementError("element is not a root of unity within the bound")
 
 
+def power(x, exponent):
+    """x to an integer power by squaring, through CycNum `*` and `inverse`
+    alone."""
+    if exponent < 0:
+        x, exponent = x.inverse(), -exponent
+    result = x.field.one()
+    while exponent:
+        if exponent & 1:
+            result = result * x
+        x, exponent = x * x, exponent >> 1
+    return result
+
+
 class RefField:
     """Reference Q(zeta_R): coefficient vectors of Fractions, reduced
     modulo Phi_R.  The oracle for the integer normal form of CycNum."""
@@ -176,7 +189,7 @@ def test_zeta_squared_in_q_i():
 def test_sqrt2_in_q_zeta8():
     field = cyclotomic_field(8)
     z = field.zeta()
-    root2 = z - z ** 3
+    root2 = z - field.zeta(3)
     assert root2 * root2 == field.from_rational(2)
     half = root2 * Fraction(1, 2)
     assert half * half == field.from_rational(Fraction(1, 2))
@@ -344,8 +357,8 @@ def test_integer_normal_form_matches_fraction_reference(order, p, q, multiple, e
     assert (a == b.embed(target)) == (ra == rb.embed(ref_target))
     if a:
         _agrees(a.inverse(), ra.inverse())
-        _agrees(a ** exponent, ra ** exponent)
-        _agrees(b / a, rb * ra.inverse())
+        _agrees(power(a, exponent), ra ** exponent)
+        _agrees(b * a.inverse(), rb * ra.inverse())
 
 
 def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
@@ -365,12 +378,12 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
         Fraction(1, 2) + 1
     for index, element in enumerate(icosahedral.elements):
         for k, g in enumerate(icosahedral.generator_indices):
-            product = linalg.mat_mul(element, icosahedral.elements[g])
+            product = linalg.RightMultiplier(icosahedral.elements[g])(element)
             image = icosahedral.elements[icosahedral._right[k][index]]
             assert product == image
             assert [hash(x) for row in product for x in row] == \
                 [hash(x) for row in image for x in row]
-        embedded = linalg.mat_embed(element, target)
+        embedded = tuple(tuple(x.embed(target) for x in row) for row in element)
         assert linalg.trace(embedded) == linalg.trace(element).embed(target)
     for name, group in groups.items():
         assert grade(group).buckets == expected[name]
@@ -415,7 +428,7 @@ def test_normal_form_uniqueness():
     f12 = cyclotomic_field(12)
     z = f12.zeta()
     # zeta^4 - zeta^2 + 1 = 0, two routes to the same element
-    lhs = z ** 4
+    lhs = f12.zeta(4)
     rhs = z * z - f12.one()
     assert lhs == rhs and lhs.coeffs == rhs.coeffs and hash(lhs) == hash(rhs)
 
@@ -423,7 +436,8 @@ def test_normal_form_uniqueness():
 def test_parse_literal():
     f8 = cyclotomic_field(8)
     z = f8.zeta()
-    assert parse_literal("-1/2*z^3 + 1/2*z", f8) == Fraction(1, 2) * z - Fraction(1, 2) * z ** 3
+    assert parse_literal("-1/2*z^3 + 1/2*z", f8) == \
+        Fraction(1, 2) * z - Fraction(1, 2) * f8.zeta(3)
     assert parse_literal("z", f8) == z
     assert parse_literal(" 3 ", f8) == f8.from_rational(3)
     assert parse_literal("2*z^8", f8) == f8.from_rational(2)

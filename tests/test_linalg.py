@@ -11,6 +11,8 @@ from mckay import cyclo, linalg
 from mckay.cyclo import cyclotomic_field
 from mckay.errors import RequirementError
 
+from test_valuation import kernel_basis
+
 
 def oracle_mat_mul(a, b):
     """a * b entry by entry through CycNum `*` and `+`: the per-scalar
@@ -141,7 +143,6 @@ def operands(draw):
 @given(operands())
 def test_products_match_per_scalar_oracle(operands):
     a, b, c = operands
-    assert_same_entries(linalg.mat_mul(a, b), oracle_mat_mul(a, b))
     # one prepared multiplier reused on several left factors
     times_b = linalg.RightMultiplier(b)
     for left in (a, c, linalg.identity(b[0][0].field, len(b))):
@@ -179,8 +180,8 @@ def test_eliminations_match_the_eager_oracles(operands):
         assert pivots == expected_pivots
         assert_same_entries(echelon, expected)
         with mock.patch.object(linalg, "rref", oracle_rref):
-            expected = linalg.kernel_basis(m)
-        assert_same_entries(tuple(linalg.kernel_basis(m)), tuple(expected))
+            expected = kernel_basis(m)
+        assert_same_entries(tuple(kernel_basis(m)), tuple(expected))
 
 
 def test_field_mismatch_raises():
@@ -189,25 +190,25 @@ def test_field_mismatch_raises():
     b = linalg.identity(f5, 2)
     mixed = ((f3.one(), f3.zero()), (f5.zero(), f3.one()))
     with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.mat_mul(a, b)
+        linalg.RightMultiplier(b)(a)
     with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.mat_mul(a, mixed)
+        linalg.RightMultiplier(mixed)(a)
     with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.mat_mul(mixed, a)
+        linalg.RightMultiplier(a)(mixed)
     with pytest.raises(RequirementError, match="field mismatch"):
         linalg.RightMultiplier(a)(b)
 
 
 def test_det_of_monomial_matrix_inverts_no_pivot(monkeypatch):
     """A pivot alone in its row is never inverted: not by `det`, `rref`
-    or `kernel_basis`."""
+    or the reference kernel built on `rref`."""
     field = cyclotomic_field(7)
     z, zero = field.zeta(), field.zero()
-    diagonal = ((z, zero, zero), (zero, z ** 2, zero), (zero, zero, z ** 4))
+    diagonal = ((z, zero, zero), (zero, field.zeta(2), zero), (zero, zero, field.zeta(4)))
     third = field.from_rational(Fraction(1, 3))
-    monomial = ((zero, z, zero), (zero, zero, z ** 2), (third, zero, zero))
+    monomial = ((zero, z, zero), (zero, zero, field.zeta(2)), (third, zero, zero))
     expected = [oracle_det(diagonal), oracle_det(monomial)]
-    assert expected == [field.one(), third * z ** 3]  # an even permutation
+    assert expected == [field.one(), third * field.zeta(3)]  # an even permutation
 
     def forbidden(*args):
         raise AssertionError("pivot inverted with no entry to divide by it")
@@ -221,5 +222,5 @@ def test_det_of_monomial_matrix_inverts_no_pivot(monkeypatch):
     for m, (echelon, pivots) in zip((diagonal, monomial, singular), echelons):
         assert linalg.rref(m) == (echelon, pivots)
     assert echelons[0][0] == echelons[1][0] == linalg.identity(field, 3)
-    assert [linalg.kernel_basis(m) for m in (diagonal, monomial)] == [[], []]
-    assert linalg.kernel_basis(singular) == [(zero, zero, field.one())]
+    assert [kernel_basis(m) for m in (diagonal, monomial)] == [[], []]
+    assert kernel_basis(singular) == [(zero, zero, field.one())]

@@ -20,6 +20,12 @@ from mckay.valuation import monomial_valuation, ram_group, stab_group
 
 from conftest import CORPUS, closed_group, group_path
 from test_linalg import oracle_mat_mul
+from test_valuation import embed
+
+def mul(group, i, j):
+    """The index of elements[i] * elements[j]: i times the runs of j."""
+    return group.times(i, group.runs(j))
+
 
 EXPECTED_ORDERS = {
     "bd8": (8, 5),
@@ -86,9 +92,9 @@ def test_group_axioms_spot_checks():
         n = len(group)
         for _ in range(40):
             i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            assert group.mul(group.mul(i, j), k) == group.mul(i, group.mul(j, k))
-            assert group.mul(i, group.inv(i)) == 0
-            assert group.mul(0, i) == i
+            assert mul(group, mul(group, i, j), k) == mul(group, i, mul(group, j, k))
+            assert mul(group, i, group.inverses[i]) == 0
+            assert mul(group, 0, i) == i
 
 
 def test_lagrange_and_class_equation():
@@ -108,7 +114,7 @@ def test_class_membership_is_conjugacy():
     for _ in range(30):
         i = rng.randrange(len(group))
         h = rng.randrange(len(group))
-        conj = group.mul(group.mul(h, i), group.inv(h))
+        conj = mul(group, mul(group, h, i), group.inverses[h])
         assert group.class_of[conj] == group.class_of[i]
 
 
@@ -118,7 +124,7 @@ def test_element_names():
     assert group.element_name(0) == "e"
     assert group.element_name(a) == "A"
     assert group.element_name(group.power(a, 2)) == "A^2"
-    assert group.element_name(group.mul(a, b)) == "A*B"
+    assert group.element_name(mul(group, a, b)) == "A*B"
 
 
 
@@ -287,7 +293,7 @@ def reference_structure(group):
 def oracle_centralizer(group, g):
     """The member test `stab_group` made before `MatrixGroup.centralizer`:
     h * g == g * h, each product a walk of its right factor's word."""
-    return [h for h in range(len(group)) if group.mul(h, g) == group.mul(g, h)]
+    return [h for h in range(len(group)) if mul(group, h, g) == mul(group, g, h)]
 
 
 def assert_matches_reference(group):
@@ -295,8 +301,8 @@ def assert_matches_reference(group):
         reference_structure(group)
     n = len(group)
     assert identity == 0
-    assert [[group.mul(i, j) for j in range(n)] for i in range(n)] == table
-    assert group.inverses == [group.inv(i) for i in range(n)] == inverses
+    assert [[mul(group, i, j) for j in range(n)] for i in range(n)] == table
+    assert group.inverses == inverses
     assert [group.centralizer(g) for g in range(n)] == \
         [oracle_centralizer(group, g) for g in range(n)]
     assert group.orders == orders
@@ -309,7 +315,7 @@ def assert_matches_reference(group):
         up = down = identity
         for k in range(2 * orders[i] + 1):
             assert group.power(i, k) == up
-            assert group.power(i, -k) == down == group.power(group.inv(i), k)
+            assert group.power(i, -k) == down == group.power(group.inverses[i], k)
             up, down = table[up][i], table[down][inverses[i]]
     assert [group.cyclic_subgroup(i) for i in range(n)] == cyclic
     assert [(sg.generator, sg.members)
@@ -325,7 +331,7 @@ def test_inverted_file_inverts_only_the_generators(name):
             inverted.generator_names) == \
         (gf.format, gf.dimension, gf.cyclotomic_order, gf.generator_names)
     for g, h in zip(gf.matrices(), inverted.matrices(), strict=True):
-        assert linalg.mat_mul(g, h) == linalg.identity(g[0][0].field, gf.dimension)
+        assert linalg.RightMultiplier(h)(g) == linalg.identity(g[0][0].field, gf.dimension)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -401,15 +407,15 @@ def test_group_operations_need_no_field_arithmetic(monkeypatch):
     def forbidden(*args):
         raise AssertionError("field arithmetic after closure")
 
-    monkeypatch.setattr(linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(cyclo, "_dot", forbidden)  # every field product
     monkeypatch.setattr(linalg.RightMultiplier, "__call__", forbidden)
     monkeypatch.setattr(cyclo.CycNum, "__mul__", forbidden)
     monkeypatch.setattr(cyclo.CycNum, "__init__", forbidden)
     n = len(group)
     for i in range(n):
         for j in range(n):
-            group.mul(i, j)
-        group.power(group.inv(i), 5)
+            mul(group, i, j)
+        group.power(group.inverses[i], 5)
         group.cyclic_subgroup(i)
     assert len(group.maximal_cyclic_subgroups()) == 4
 
@@ -424,7 +430,7 @@ def test_scalar_lift_matches_group_closed_in_exponent_field(name):
     assert group.field.order % group.exponent != 0
     field = cyclotomic_field(lcm(group.field.order, group.exponent))
     gens = parse_group_file(group_path(name)).matrices()
-    big = close_group([linalg.mat_embed(g, field) for g in gens])
+    big = close_group([embed(g, field) for g in gens])
     assert big._tree == group._tree
     for i in range(len(group)):
         assert eigen_exponents(big, i) == eigen_exponents(group, i)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay import age, linalg, valuation
+from mckay import age, cyclo, linalg, valuation
 from mckay.age import FractionalExpression, eigen_exponents
 from mckay.cli import main
 from mckay.cyclo import CycNum, cyclotomic_field
@@ -25,6 +25,7 @@ from mckay.valuation import (
 
 from conftest import CORPUS, closed_group, group_path
 from test_age import _counted_walks, unimodular_matrices
+from test_cyclo import power
 from test_toric import diagonal_specs, spec_text
 
 
@@ -41,6 +42,25 @@ class EigenDecomposition:
     basis: linalg.Matrix
 
 
+def kernel_basis(a):
+    """Basis of the right kernel of `a`, one vector per free column of its
+    reduced row echelon form, in column order."""
+    field = a[0][0].field
+    echelon, pivots = linalg.rref(a)
+    basis = []
+    for f in (c for c in range(len(a[0])) if c not in pivots):
+        v = [field.zero()] * len(a[0])
+        v[f] = field.one()
+        for r, p in enumerate(pivots):
+            v[p] = -echelon[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def embed(matrix, field):
+    return tuple(tuple(x.embed(field) for x in row) for row in matrix)
+
+
 def eigen_decompose(group, index):
     """The eigenbasis `monomial_valuation` computed before it read the
     exponents off the power walks alone: kernels of (g - zeta_r^a * I), with
@@ -49,7 +69,7 @@ def eigen_decompose(group, index):
     expr = eigen_exponents(group, index)
     r = group.orders[index]
     field = cyclotomic_field(lcm(group.field.order, r))
-    entries = linalg.mat_embed(group.elements[index], field)
+    entries = embed(group.elements[index], field)
     step = field.order // r
     n = group.dimension
     columns, exps = [], []
@@ -57,12 +77,12 @@ def eigen_decompose(group, index):
         eigval = field.zeta(step * a)
         shifted = tuple(tuple(entries[i][j] - (eigval if i == j else field.zero())
                               for j in range(n)) for i in range(n))
-        kernel = linalg.kernel_basis(shifted)
+        kernel = kernel_basis(shifted)
         assert len(kernel) == expr.exponents.count(a)
         columns += kernel
         exps += [a] * len(kernel)
     basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    image = linalg.mat_mul(entries, basis)
+    image = linalg.RightMultiplier(basis)(entries)
     assert all(image[i][j] == field.zeta(step * a) * basis[i][j]
                for j, a in enumerate(exps) for i in range(n))
     return EigenDecomposition(expr, basis)
@@ -75,7 +95,7 @@ def test_eigen_decompose_bd8_b():
     assert dec.expression.exponents == (1, 3)
     assert dec.expression.r == 4
     # the eigenvectors form a basis
-    product = linalg.mat_mul(linalg.mat_inv(dec.basis), dec.basis)
+    product = linalg.RightMultiplier(dec.basis)(linalg.mat_inv(dec.basis))
     assert product == linalg.identity(dec.basis[0][0].field, 2)
 
 
@@ -184,9 +204,9 @@ def _in_eigenbasis(group, v):
     """(h, the matrix of h in the eigenbasis of `v`) for every element h."""
     basis = eigen_decompose(group, v.source_index).basis
     field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
+    times_basis = linalg.RightMultiplier(basis)
     for h, element in enumerate(group.elements):
-        yield h, linalg.mat_mul(basis_inverse, linalg.mat_mul(
-            linalg.mat_embed(element, field), basis))
+        yield h, linalg.RightMultiplier(times_basis(embed(element, field)))(basis_inverse)
 
 
 def _block_diagonal_members(group, v):
@@ -254,7 +274,8 @@ def test_ram_is_subgroup_of_stab():
                 ram_set = set(ram.members)
                 for h in stab:
                     for m in ram.members:
-                        conj = group.mul(group.mul(h, m), group.inv(h))
+                        conj = group.times(group.times(h, group.runs(m)),
+                                           group.runs(group.inverses[h]))
                         assert conj in ram_set
 
 
@@ -286,7 +307,7 @@ def _bezout_root(diag, weights):
     assert g == 1
     eps = diag[0].field.one()
     for i, x in coeffs.items():
-        eps = eps * (diag[i] ** x if x >= 0 else diag[i].inverse() ** (-x))
+        eps = eps * power(diag[i], x)
     return eps
 
 
@@ -297,7 +318,7 @@ def _is_eps_power(diag, weights):
     if any(d != one for d, w in zip(diag, weights) if w == 0):
         return False
     eps = _bezout_root(diag, weights)
-    return all(d == eps ** w for d, w in zip(diag, weights) if w)
+    return all(d == power(eps, w) for d, w in zip(diag, weights) if w)
 
 
 def _bezout_ram_members(group, v):
@@ -351,7 +372,7 @@ def test_eigen_decompose_of_a_diagonal_group_inverts_nothing(name, choice, monke
         with monkeypatch.context() as patch:
             patch.setattr(CycNum, "inverse", refuse)
             d = eigen_decompose(group, cls.representative)
-        assert linalg.mat_mul(d.basis, linalg.mat_inv(d.basis)) == \
+        assert linalg.RightMultiplier(linalg.mat_inv(d.basis))(d.basis) == \
             linalg.identity(d.basis[0][0].field, group.dimension)
 
 
@@ -394,13 +415,13 @@ def oracle_ram_group(group, v):
     times_basis = linalg.RightMultiplier(basis)
     members = []
     for h in stab_group(group, v):
-        m = linalg.mat_mul(basis_inverse, times_basis(
-            linalg.mat_embed(group.elements[h], field)))
+        m = linalg.RightMultiplier(times_basis(embed(group.elements[h], field)))(
+            basis_inverse)
         assert not any(m[i][j] for i in range(n) for j in range(n)
                        if weights[i] != weights[j])
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
             continue
-        if all(m[i][i] ** weights[j] == m[j][j] ** weights[i]
+        if all(power(m[i][i], weights[j]) == power(m[j][j], weights[i])
                for i in range(n) for j in range(i + 1, n)):
             members.append(h)
     generator = next(h for h in members
@@ -437,9 +458,9 @@ def test_ram_equals_the_conjugation_oracle_off_the_diagonal(data):
     field = diagonal[0][0][0].field
     p = tuple(tuple(field.from_rational(c) for c in row)
               for row in data.draw(unimodular_matrices(spec.n)))
-    p_inv = linalg.mat_inv(p)
+    p_inv, times_p = linalg.mat_inv(p), linalg.RightMultiplier(p)
     _assert_ram_matches_oracle(close_group(
-        [linalg.mat_mul(linalg.mat_mul(p_inv, d), p) for d in diagonal]))
+        [times_p(linalg.RightMultiplier(d)(p_inv)) for d in diagonal]))
 
 
 def test_ram_builds_one_polynomial_per_walk(capsys, monkeypatch, tmp_path):
@@ -466,8 +487,7 @@ def test_ram_reads_integers_off_the_walks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ram_group did matrix or power work")
 
-    monkeypatch.setattr(CycNum, "__pow__", refuse)
-    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(cyclo, "_dot", refuse)  # every field product
     monkeypatch.setattr(linalg.RightMultiplier, "__call__", refuse)
     assert ram_group(group, v).degree == 211
 
