@@ -7,12 +7,14 @@ reduced modulo the R-th cyclotomic polynomial and with
 gcd(den, *nums) = 1.  The normal form is unique, so equality and hashing
 compare integer tuples.  Arithmetic is integer arithmetic: sums add
 numerators over a common denominator, products convolve the numerators and
-reduce through the field's table of powers of zeta.  One kernel, `_dot`,
-does that convolution and reduction for `CycNum.__mul__` and for the matrix
-products of `linalg`, which reduce each entry's sum of products once.
-`fractions.Fraction` appears only at the boundaries: building
-elements from rational coefficients, reading them back (`as_rational`,
-`coeffs`, `to_literal`), and the rational Euclid of `inverse`.
+reduce through the field's table of powers of zeta, and inverses run the
+extended Euclidean algorithm on integer polynomials.  One kernel, `_dot`,
+does that convolution and reduction and returns the normal form
+(nums, den): `CycNum.__mul__` wraps it, and the row kernel of `linalg`
+uses it on the integer rows of a closure, reducing each entry's sum of
+products once.  `fractions.Fraction` appears only at the boundaries:
+building elements from rational coefficients, reading them back
+(`as_rational`, `to_literal`), and hashing a rational element.
 
 Convention: the field generator ``zeta`` is the distinguished primitive
 R-th root of unity.  All gradings downstream depend on this choice; the
@@ -31,6 +33,7 @@ from .errors import FieldCapError, InternalInvariantError, RequirementError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²', which int() refuses
 
 # Largest cyclotomic order a field is built for; larger orders are refused
 # before Phi_R or the power table is computed.  The power table costs
@@ -160,17 +163,18 @@ def cyclotomic_field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
 
 
-def _terms(x: "CycNum") -> list[tuple[int, int]]:
-    """The nonzero numerators of x as (power of zeta, integer) pairs."""
-    return [(i, c) for i, c in enumerate(x.nums) if c]
+def _terms(nums: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The nonzero numerators as (power of zeta, integer) pairs."""
+    return [(i, c) for i, c in enumerate(nums) if c]
 
 
-def _dot(field: CyclotomicField, pairs) -> "CycNum":
-    """sum of x*y over `pairs` of (x.den * y.den, terms of x, terms of y):
-    every product over the lcm of the denominators, one convolution buffer,
-    one reduction modulo Phi_R through the power table."""
+def _dot(field: CyclotomicField, pairs) -> tuple[tuple[int, ...], int]:
+    """The normal form (nums, den) of the sum of x*y over `pairs` of
+    (x.den * y.den, terms of x, terms of y): every product over the lcm of
+    the denominators, one convolution buffer, one reduction modulo Phi_R
+    through the power table, one division by gcd(den, *nums)."""
     if not pairs:
-        return field.zero()
+        return field._zero.nums, 1
     den = pairs[0][0] if len(pairs) == 1 else lcm(*(d for d, _, _ in pairs))
     deg = field.degree
     conv = [0] * (2 * deg - 1)
@@ -187,7 +191,21 @@ def _dot(field: CyclotomicField, pairs) -> "CycNum":
             for i, t in table[k]:
                 conv[i] += c * t
     del conv[deg:]
-    return CycNum(field, tuple(conv), den)
+    if den != 1:
+        g = gcd(den, *conv)
+        if g != 1:
+            conv = [c // g for c in conv]
+            den //= g
+    return tuple(conv), den
+
+
+def _cancel(a: list[int], p: int, b: list[int], q: int, shift: int) -> list[int]:
+    """p*a - q*x^shift*b on ascending integer coefficient lists."""
+    out = [p * c for c in a]
+    out += [0] * (len(b) + shift - len(out))
+    for i, d in enumerate(b, shift):
+        out[i] -= q * d
+    return out
 
 
 class CycNum:
@@ -198,7 +216,7 @@ class CycNum:
     gcd(den, *nums), so the pair is unique.
     """
 
-    __slots__ = ("field", "nums", "den", "_hash")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int = 1):
         if len(nums) != field.degree:
@@ -213,12 +231,6 @@ class CycNum:
         self.field = field
         self.nums = nums
         self.den = den
-        self._hash = None
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coefficients of zeta^0, ..., zeta^(phi(R)-1)."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _operand(self, other):
         """`other` as an element of this field, or NotImplemented for a
@@ -264,7 +276,8 @@ class CycNum:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return _dot(self.field, ((self.den * other.den, _terms(self), _terms(other)),))
+        return CycNum(self.field, *_dot(self.field, (
+            (self.den * other.den, _terms(self.nums), _terms(other.nums)),)))
 
     __rmul__ = __mul__
 
@@ -285,53 +298,41 @@ class CycNum:
 
     def __hash__(self):
         # a rational value equals its int/Fraction, so it hashes like one
-        if self._hash is None:
-            if any(self.nums[1:]):
-                self._hash = hash((self.field.order, self.nums, self.den))
-            else:
-                self._hash = hash(Fraction(self.nums[0], self.den))
-        return self._hash
+        if any(self.nums[1:]):
+            return hash((self.field.order, self.nums, self.den))
+        return hash(Fraction(self.nums[0], self.den))
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm on
-        (self as polynomial, Phi_R) over the rationals."""
+        """Multiplicative inverse by the extended Euclidean algorithm on
+        integer polynomials.  Both rows (r, s), first (Phi_R, 0) and
+        (nums, 1), keep r = s*nums (mod Phi_R).  The leading term of the
+        longer r is cancelled by cross-multiplying the leading coefficients,
+        and the row is then divided by its content, which keeps the
+        integers small (the primitive remainder sequence).  At a constant
+        r = c the inverse is den*s/c."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # r0 = Phi, r1 = self; track t with t*self = r (mod Phi)
-        r0 = [Fraction(c) for c in self.field.min_poly]
-        r1 = list(self.coeffs)
-        while r1 and not r1[-1]:
+        r0, s0 = list(self.field.min_poly), []
+        r1, s1 = list(self.nums), [1]
+        while not r1[-1]:
             r1.pop()
-        t0, t1 = [], [_ONE]
-        while True:
-            # trim
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = _ONE / r1[0]
-                coeffs = {k: c * inv for k, c in enumerate(t1)}
-                return self.field.element(coeffs)
-            if not r1:  # pragma: no cover - impossible, Phi is irreducible
-                raise InternalInvariantError("gcd with Phi_R is not constant")
-            # divide r0 by r1
-            q = [_ZERO] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                f = rem[k + len(r1) - 1] / r1[-1]
-                q[k] = f
-                if f:
-                    for j, c in enumerate(r1):
-                        rem[k + j] -= f * c
-            rem = rem[: len(r1) - 1]
-            # t_next = t0 - q*t1
-            qt = _poly_mul(q, t1)
-            t_next = [_ZERO] * max(len(t0), len(qt))
-            for i, c in enumerate(t0):
-                t_next[i] += c
-            for i, c in enumerate(qt):
-                t_next[i] -= c
-            r0, r1 = r1, rem
-            t0, t1 = t1, t_next
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                p, q, shift = r1[-1], r0[-1], len(r0) - len(r1)
+                r0, s0 = _cancel(r0, p, r1, q, shift), _cancel(s0, p, s1, q, shift)
+                while r0 and not r0[-1]:
+                    r0.pop()
+                if not r0:  # pragma: no cover - impossible, Phi is irreducible
+                    raise InternalInvariantError("gcd with Phi_R is not constant")
+                g = gcd(*r0, *s0)
+                if g != 1:
+                    r0, s0 = [c // g for c in r0], [c // g for c in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c, scale = r1[0], self.den
+        if c < 0:
+            c, scale = -c, -scale
+        return CycNum(self.field, tuple(scale * x for x in s1)
+                      + (0,) * (self.field.degree - len(s1)), c)
 
     def as_rational(self) -> Fraction | None:
         """The rational value if this element lies in Q, else None."""
@@ -397,7 +398,7 @@ def parse_literal(text: str, field: CyclotomicField) -> CycNum:
 
     def parse_uint(i, what):
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i] in _DIGITS:
             i += 1
         if i == start:
             raise LiteralSyntaxError(f"expected {what}", start)
@@ -421,7 +422,7 @@ def parse_literal(text: str, field: CyclotomicField) -> CycNum:
         first = False
         coef = _ONE
         has_coef = False
-        if i < n and text[i].isdigit():
+        if i < n and text[i] in _DIGITS:
             num, i = parse_uint(i, "number")
             den = 1
             i2 = skip_ws(i)

@@ -1,8 +1,11 @@
 """Exact dense linear algebra over a cyclotomic field.
 
-Matrices are tuples of row tuples of CycNum.  Each product entry is one
-call of the integer kernel `cyclo._dot`, and `RightMultiplier` extracts the
-numerator terms of a fixed right factor once.  `det`, `rref` and `mat_inv`
+Matrices are tuples of row tuples of CycNum.  An integer row is the tuple
+of the normal forms (nums, den) of its entries.  The closure's kernel
+`RightMultiplier` maps an integer row to its product with a fixed matrix,
+one call of the integer kernel `cyclo._dot` per entry; the matrix's
+numerator terms are taken once, and the row's are passed in by the
+caller.  `det`, `rref` and `mat_inv`
 run on one elimination, `_eliminate`, which inverts a pivot only when an
 entry must be divided by it.
 """
@@ -10,9 +13,9 @@ entry must be divided by it.
 from __future__ import annotations
 
 from .cyclo import CyclotomicField, CycNum, _dot, _terms
-from .errors import RequirementError
 
 Matrix = tuple[tuple[CycNum, ...], ...]
+IntRow = tuple[tuple[tuple[int, ...], int], ...]
 
 
 def identity(field: CyclotomicField, n: int) -> Matrix:
@@ -22,41 +25,40 @@ def identity(field: CyclotomicField, n: int) -> Matrix:
     )
 
 
-def _field_of(a: Matrix) -> CyclotomicField:
-    field = a[0][0].field
-    for row in a:
-        for x in row:
-            if x.field is not field:
-                raise RequirementError(f"field mismatch: {field} vs {x.field}")
-    return field
+def row_terms(row: IntRow) -> list:
+    """Each entry (nums, den) of an integer row as (den, numerator terms),
+    or None for zero: the left operand of `RightMultiplier`."""
+    return [(den, _terms(nums)) if any(nums) else None for nums, den in row]
 
 
 class RightMultiplier:
-    """The map a -> a*b for a fixed matrix b.  Each column of b is kept as
-    its nonzero entries (row, denominator, numerator terms)."""
+    """The kernel row -> row * b for a fixed matrix b, on integer rows.
+    Each column of b is kept as its nonzero entries (row, denominator,
+    numerator terms), or, if its only nonzero entry is 1, as that row's
+    index: the product then copies the entry's pair."""
 
     __slots__ = ("field", "columns")
 
     def __init__(self, b: Matrix):
-        self.field = _field_of(b)
-        self.columns = tuple(
-            tuple((k, y.den, _terms(y)) for k, y in enumerate(column) if y)
-            for column in zip(*b)
-        )
+        self.field = b[0][0].field
+        columns = []
+        for column in zip(*b):
+            nonzero = [(k, y) for k, y in enumerate(column) if y]
+            if len(nonzero) == 1 and nonzero[0][1] == 1:
+                columns.append(nonzero[0][0])
+            else:
+                columns.append(tuple((k, y.den, _terms(y.nums)) for k, y in nonzero))
+        self.columns = tuple(columns)
 
-    def __call__(self, a: Matrix) -> Matrix:
+    def __call__(self, row: IntRow, left: list) -> IntRow:
+        """The integer row `row` * b, given `left = row_terms(row)`."""
         field = self.field
-        if _field_of(a) is not field:
-            raise RequirementError(f"field mismatch: {a[0][0].field} vs {field}")
-        out = []
-        for row in a:
-            left = [(x.den, _terms(x)) if x else None for x in row]
-            out.append(tuple(
-                _dot(field, [(left[k][0] * den, left[k][1], right)
-                             for k, den, right in column if left[k]])
-                for column in self.columns
-            ))
-        return tuple(out)
+        return tuple(
+            row[column] if column.__class__ is int else
+            _dot(field, [(left[k][0] * den, left[k][1], right)
+                         for k, den, right in column if left[k]])
+            for column in self.columns
+        )
 
 
 def trace(a: Matrix) -> CycNum:

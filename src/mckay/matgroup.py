@@ -6,12 +6,14 @@ row i of M*g is (row i of M)*g, and the elements of a group share few rows
 multiplied by each generator once and an element is the tuple of its row
 ids.  This is the orbit method of Holt, Eick and O'Brien (Handbook of
 Computational Group Theory, 2005, 4.1): act on a small orbit, not on the
-group.  Rows are deduplicated through the unique normal form of their
-entries.  After closure, every group operation works on element
-indices.  Each element keeps one entry of a Schreier tree with run lengths
-(ibid.): elements[i] = elements[j] * g_k^m, where the word of elements[j]
-does not end in g_k.  Products follow the runs (k, m) of the breadth-first
-word, read by walking the tree, through the right-multiplication table.
+group.  The closure keeps a row as the integer normal forms (nums, den)
+of its entries, so rows dedupe on tuples of integers, and it builds one
+row of CycNum per distinct row.  After closure, every group operation
+works on element indices.  Each element keeps one entry of a Schreier
+tree with run lengths (ibid.): elements[i] = elements[j] * g_k^m, where
+the word of elements[j] does not end in g_k.  Products follow the runs
+(k, m) of the breadth-first word, read by walking the tree, through the
+right-multiplication table.
 Powers come from one walk x^0, x^1, ..., x^(r-1) per cyclic subgroup <x>
 not reached by an earlier walk: an element found as x^k in a walk of
 length r has order r/gcd(r, k), and its powers, its inverse and its cyclic
@@ -28,6 +30,7 @@ from collections import Counter
 from math import gcd, lcm
 
 from . import linalg
+from .cyclo import CycNum
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
 
 DEFAULT_CAP = 100_000
@@ -209,6 +212,19 @@ class MatrixGroup:
         return subgroups
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with `compute(key)`."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 def _require_finite_order(matrix, names, tree, entry):
     """The trace of a matrix of finite order is a sum of n roots of unity:
     integral in the power basis of Z[zeta_N] and, when rational, at most n
@@ -227,13 +243,17 @@ def _require_finite_order(matrix, names, tree, entry):
 def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     """Breadth-first closure of a generator list under multiplication.
 
-    `rows` holds the distinct row vectors met so far, and an element is the
-    tuple of its row ids, deduplicated on that tuple; its matrix shares the
-    row tuples.  The image of a row under generator k is computed once,
-    when first needed, by the generator's `linalg.RightMultiplier` on a
-    1 x n matrix, so the field work is (distinct rows) x (generators) row
-    products.  The result contains the identity and all products and
-    inverses; raises ClosureCapError if more than `cap` elements appear.
+    A row is met as its integer form, the tuple of the normal forms
+    (nums, den) of its entries, and `row_of` dedupes it on those integers.
+    `rows` holds one tuple of CycNum per distinct row, zero entries being
+    `field.zero()`, and an element is the tuple of its row ids,
+    deduplicated on that tuple; its matrix shares the row tuples.
+    `images[k][r]`, the id of row r times generator k, is computed on first
+    lookup by the generator's row kernel `linalg.RightMultiplier` from the
+    row's terms, taken once per row, so the field work is (distinct rows) x
+    (generators) row products.  The result contains the identity and all
+    products and inverses; raises ClosureCapError if more than `cap`
+    elements appear.
     The words of length 1 and 2, the generators and the new elements found
     while the scan visits the identity and the generators, must pass the
     trace test of `_require_finite_order`; one that fails it has infinite
@@ -255,24 +275,26 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
 
-    rows = []
-    row_of = {}
+    zero = field.zero()
+    rows = []  # the distinct rows, as tuples of CycNum shared by the elements
+    operands = []  # operands[r]: rows[r] as an integer row, and its kernel terms
+    row_of = {}  # integer row -> id
 
     def row_id(row):
-        r = row_of.get(row)
-        if r is None:
-            r = row_of[row] = len(rows)
-            rows.append(row)
+        r = row_of.setdefault(row, len(rows))  # hashes the long row once
+        if r == len(rows):
+            left = linalg.row_terms(row)
+            rows.append(tuple(CycNum(field, *pair) if t else zero
+                              for pair, t in zip(row, left)))
+            operands.append((row, left))
         return r
 
-    multipliers = [linalg.RightMultiplier(g) for g in generators]
-    images = [{} for _ in generators]  # images[k][r]: id of rows[r] * g_k
+    def image_table(g):
+        """The dict r -> id of rows[r] * g, each entry computed on first use."""
+        times = linalg.RightMultiplier(g)
+        return _Lazy(lambda r: row_id(times(*operands[r])))
 
-    def image(r, k):
-        s = images[k].get(r)
-        if s is None:
-            s = images[k][r] = row_id(multipliers[k]((rows[r],))[0])
-        return s
+    images = [image_table(g) for g in generators]
 
     elements = []
     ids_of = []  # ids_of[i]: the row ids of elements[i]
@@ -294,8 +316,11 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
             tree.append(entry)
         return index
 
-    add(tuple(row_id(row) for row in linalg.identity(field, n)), (0, None, 0), False)
-    generator_indices = tuple(add(tuple(row_id(tuple(row)) for row in g), (0, k, 1), True)
+    def row_ids(matrix):
+        return tuple(row_id(tuple((x.nums, x.den) for x in row)) for row in matrix)
+
+    add(row_ids(linalg.identity(field, n)), (0, None, 0), False)
+    generator_indices = tuple(add(row_ids(g), (0, k, 1), True)
                               for k, g in enumerate(generators))
     short = max(generator_indices)  # scanning p <= short adds the words of length 2
     right = [[] for _ in generators]
@@ -305,7 +330,8 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
         j, last, m = tree[p]
         for k in range(len(generators)):
             entry = (j, k, m + 1) if k == last else (p, k, 1)
-            right[k].append(add(tuple(image(r, k) for r in ids), entry, p <= short))
+            ids_k = tuple(map(images[k].__getitem__, ids))
+            right[k].append(add(ids_k, entry, p <= short))
 
     in_sl = all(d == 1 for d in determinants)
     return MatrixGroup(n, field, elements, generator_indices, list(names),

@@ -1,6 +1,8 @@
 import pathlib
 
+from mckay.cyclo import CycNum
 from mckay.groupfile import parse_group_file
+from mckay.linalg import RightMultiplier, row_terms
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parents[1] / "groups"
 
@@ -20,6 +22,20 @@ _graded = {}
 
 def group_path(name):
     return GROUPS_DIR / f"{name}.grp"
+
+
+def mat_mul(a, b):
+    """The matrix product a * b through the closure's row kernel
+    `linalg.RightMultiplier`, one integer row of a at a time; each entry the
+    kernel returns must already be in normal form."""
+    times_b, field = RightMultiplier(b), b[0][0].field
+    out = []
+    for row in a:
+        pairs = tuple((x.nums, x.den) for x in row)
+        product = times_b(pairs, row_terms(pairs))
+        out.append(tuple(CycNum(field, *pair) for pair in product))
+        assert tuple((x.nums, x.den) for x in out[-1]) == product
+    return tuple(out)
 
 
 def closed_group(name):

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from mckay import cli, toric
 from mckay.cli import main
-from mckay.cyclo import MAX_FIELD_ORDER
+from mckay.cyclo import MAX_FIELD_ORDER, cyclotomic_field
 from mckay.groupfile import GroupFile
 from mckay.valuation import MAX_PROBE_MONOMIALS
 
@@ -390,6 +391,46 @@ def test_parse_error_reports_position(capsys, tmp_path):
     code, out, err = run(capsys, "info", str(bad))
     assert code == 2
     assert err == "error: line 6, col 6: zero denominator\n"
+
+
+@pytest.mark.parametrize("entry, col, reason", [
+    ("z^\u00b2", 3, "expected exponent"), ("\u00b2", 1, "expected a term")])
+def test_superscript_digit_is_a_parse_error(capsys, tmp_path, entry, col, reason):
+    # str.isdigit accepts '\u00b2' and int() refuses it: a traceback, exit 1
+    bad = tmp_path / "bad.grp"
+    bad.write_text("format matrix\ndimension 2\ncyclotomic_order 4\n"
+                   f"generator A\n{entry}, 0\n0, 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "info", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 5, col {col}: {reason}\n"
+
+
+def dense_pivot_text(seed=1, terms=12):
+    """A group file for P diag(z, z^-1) P^-1 in SL(2, Q(zeta_97)), of order
+    97, with P = [[1, u], [v, 1 + uv]] for sparse random u and v with
+    coefficients in [-2, 2].  Its entries are dense, and so is the pivot
+    that `det` inverts."""
+    field = cyclotomic_field(97)
+    rng = random.Random(seed)
+    u, v = (field.element({rng.randrange(97): rng.choice((-2, -1, 1, 2))
+                           for _ in range(terms)}) for _ in range(2))
+    z, z_inv, w = field.zeta(), field.zeta(96), field.one() + u * v
+    matrix = ((z * w - u * v * z_inv, u * (z_inv - z)),
+              (v * w * (z - z_inv), w * z_inv - u * v * z))
+    return ("format matrix\ndimension 2\ncyclotomic_order 97\ngenerator A\n"
+            + "".join(", ".join(x.to_literal() for x in row) + "\n" for row in matrix))
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+def test_dense_pivot_in_a_large_field_inverts_fast(capsys, tmp_path, choice):
+    # the rational Euclid took 13 s for the pivot of `det`, and the run
+    # under `--choice inverse` 60 s
+    path = tmp_path / "dense97.grp"
+    path.write_text(dense_pivot_text())
+    start = time.perf_counter()
+    group = run_json(capsys, "info", str(path), "--choice", choice)["group"]
+    assert time.perf_counter() - start < 2
+    assert (group["order"], group["in_sl"]) == (97, True)
 
 
 def test_invalid_utf8_is_a_parse_error(capsys, tmp_path):

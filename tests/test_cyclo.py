@@ -20,7 +20,12 @@ from mckay.cyclo import (
 )
 from mckay.errors import FieldCapError, RequirementError
 
-from conftest import closed_group, graded_table
+from conftest import closed_group, graded_table, mat_mul
+
+
+def coeffs(x):
+    """The rational coefficients of zeta^0, ..., zeta^(phi(R)-1) of x."""
+    return tuple(Fraction(c, x.den) for c in x.nums)
 
 
 def multiplicative_order(x):
@@ -323,7 +328,7 @@ def _both(order, powers):
 
 def _agrees(x: CycNum, ref: RefNum):
     assert x.den >= 1 and math.gcd(x.den, *x.nums) == 1
-    assert x.coeffs == ref.coeffs
+    assert coeffs(x) == ref.coeffs
     assert x.as_rational() == ref.as_rational()
     assert x.to_literal() == ref.to_literal()
     value = ref.as_rational()
@@ -378,7 +383,7 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
         Fraction(1, 2) + 1
     for index, element in enumerate(icosahedral.elements):
         for k, g in enumerate(icosahedral.generator_indices):
-            product = linalg.RightMultiplier(icosahedral.elements[g])(element)
+            product = mat_mul(element, icosahedral.elements[g])
             image = icosahedral.elements[icosahedral._right[k][index]]
             assert product == image
             assert [hash(x) for row in product for x in row] == \
@@ -387,6 +392,18 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
         assert linalg.trace(embedded) == linalg.trace(element).embed(target)
     for name, group in groups.items():
         assert grade(group).buckets == expected[name]
+
+
+@pytest.mark.parametrize("order", [3, 5, 8, 12, 60, 97, 316])
+def test_dense_inverse_matches_the_fraction_reference(order):
+    # dense elements with mixed denominators: x * x^-1 is 1 in the integer
+    # normal form and in the Fraction reference
+    field, ref = cyclotomic_field(order), _ref_field(order)
+    x = _random_element(field, random.Random(order))
+    y = x.inverse()
+    assert x * y == field.one()
+    assert ref.element(dict(enumerate(coeffs(x)))) * \
+        ref.element(dict(enumerate(coeffs(y)))) == ref.one()
 
 
 def test_field_order_limit():
@@ -430,7 +447,7 @@ def test_normal_form_uniqueness():
     # zeta^4 - zeta^2 + 1 = 0, two routes to the same element
     lhs = f12.zeta(4)
     rhs = z * z - f12.one()
-    assert lhs == rhs and lhs.coeffs == rhs.coeffs and hash(lhs) == hash(rhs)
+    assert lhs == rhs and coeffs(lhs) == coeffs(rhs) and hash(lhs) == hash(rhs)
 
 
 def test_parse_literal():

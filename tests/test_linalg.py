@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from mckay import cyclo, linalg
 from mckay.cyclo import cyclotomic_field
 from mckay.errors import RequirementError
+from mckay.matgroup import close_group
 
+from conftest import mat_mul
 from test_valuation import kernel_basis
 
 
@@ -143,10 +145,11 @@ def operands(draw):
 @given(operands())
 def test_products_match_per_scalar_oracle(operands):
     a, b, c = operands
-    # one prepared multiplier reused on several left factors
-    times_b = linalg.RightMultiplier(b)
-    for left in (a, c, linalg.identity(b[0][0].field, len(b))):
-        assert_same_entries(times_b(left), oracle_mat_mul(left, b))
+    # the row kernel, on general columns and on the copied columns of I
+    field = b[0][0].field
+    for left in (a, c, linalg.identity(field, len(b))):
+        assert_same_entries(mat_mul(left, b), oracle_mat_mul(left, b))
+    assert_same_entries(mat_mul(b, linalg.identity(field, len(b[0]))), b)
     assert linalg.det(c) == oracle_det(c)
 
 
@@ -185,18 +188,17 @@ def test_eliminations_match_the_eager_oracles(operands):
 
 
 def test_field_mismatch_raises():
+    # integer rows carry no field: the closure refuses generators of two
+    # fields before any row reaches the kernel, and scalars check their own
     f3, f5 = cyclotomic_field(3), cyclotomic_field(5)
     a = linalg.identity(f3, 2)
     b = linalg.identity(f5, 2)
     mixed = ((f3.one(), f3.zero()), (f5.zero(), f3.one()))
+    for generators in ([a, b], [mixed], [a, mixed]):
+        with pytest.raises(RequirementError, match="share one cyclotomic field"):
+            close_group(generators)
     with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.RightMultiplier(b)(a)
-    with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.RightMultiplier(mixed)(a)
-    with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.RightMultiplier(a)(mixed)
-    with pytest.raises(RequirementError, match="field mismatch"):
-        linalg.RightMultiplier(a)(b)
+        a[0][0] * b[0][0]
 
 
 def test_det_of_monomial_matrix_inverts_no_pivot(monkeypatch):

@@ -18,7 +18,7 @@ from mckay.quiver import fold
 from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import monomial_valuation, ram_group, stab_group
 
-from conftest import CORPUS, closed_group, group_path
+from conftest import CORPUS, closed_group, group_path, mat_mul
 from test_linalg import oracle_mat_mul
 from test_valuation import embed
 
@@ -172,11 +172,10 @@ def oracle_close_group(generators, cap=100_000):
     add(linalg.identity(field, n), ())
     generator_indices = tuple(add(tuple(tuple(row) for row in g), (k,))
                               for k, g in enumerate(generators))
-    multipliers = [linalg.RightMultiplier(g) for g in generators]
     right = [[] for _ in generators]
     for element, word in zip(elements, words):
-        for k, times_g in enumerate(multipliers):
-            right[k].append(add(times_g(element), word + (k,)))
+        for k, g in enumerate(generators):
+            right[k].append(add(oracle_mat_mul(element, g), word + (k,)))
     index_of_word = {word: i for i, word in enumerate(words)}
     tree = [(0, None, 0)]
     for word in words[1:]:
@@ -331,7 +330,7 @@ def test_inverted_file_inverts_only_the_generators(name):
             inverted.generator_names) == \
         (gf.format, gf.dimension, gf.cyclotomic_order, gf.generator_names)
     for g, h in zip(gf.matrices(), inverted.matrices(), strict=True):
-        assert linalg.RightMultiplier(h)(g) == linalg.identity(g[0][0].field, gf.dimension)
+        assert mat_mul(g, h) == linalg.identity(g[0][0].field, gf.dimension)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -386,17 +385,23 @@ def test_closure_multiplies_each_distinct_row_once_per_generator(name, monkeypat
     calls = []
     times_g = linalg.RightMultiplier.__call__
 
-    def counted(self, a):
-        calls.append(len(a))
-        return times_g(self, a)
+    def counted(self, row, left):
+        calls.append(row)
+        return times_g(self, row, left)
 
     gens = parse_group_file(group_path(name)).matrices()
     monkeypatch.setattr(linalg.RightMultiplier, "__call__", counted)
     group = close_group(gens)
     monkeypatch.undo()
-    assert set(calls) == {1}
+    # each kernel call multiplies one integer row: n pairs (nums, den)
+    assert all(len(row) == group.dimension and {len(pair) for pair in row} == {2}
+               for row in calls)
     distinct_rows = {row for e in group.elements for row in e}
     assert len(calls) <= len(distinct_rows) * len(gens)
+    # the elements share one row tuple per distinct row, and one zero
+    assert len({id(row) for e in group.elements for row in e}) == len(distinct_rows)
+    zero = group.field.zero()
+    assert all(x is zero for e in group.elements for row in e for x in row if not x)
     if name == "icosahedral60":
         assert (len(distinct_rows), len(gens), len(calls)) == (30, 2, 60)
 

@@ -23,7 +23,7 @@ from mckay.valuation import (
     valuation_fingerprint,
 )
 
-from conftest import CORPUS, closed_group, group_path
+from conftest import CORPUS, closed_group, group_path, mat_mul
 from test_age import _counted_walks, unimodular_matrices
 from test_cyclo import power
 from test_toric import diagonal_specs, spec_text
@@ -82,7 +82,7 @@ def eigen_decompose(group, index):
         columns += kernel
         exps += [a] * len(kernel)
     basis = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    image = linalg.RightMultiplier(basis)(entries)
+    image = mat_mul(entries, basis)
     assert all(image[i][j] == field.zeta(step * a) * basis[i][j]
                for j, a in enumerate(exps) for i in range(n))
     return EigenDecomposition(expr, basis)
@@ -95,7 +95,7 @@ def test_eigen_decompose_bd8_b():
     assert dec.expression.exponents == (1, 3)
     assert dec.expression.r == 4
     # the eigenvectors form a basis
-    product = linalg.RightMultiplier(dec.basis)(linalg.mat_inv(dec.basis))
+    product = mat_mul(linalg.mat_inv(dec.basis), dec.basis)
     assert product == linalg.identity(dec.basis[0][0].field, 2)
 
 
@@ -204,9 +204,8 @@ def _in_eigenbasis(group, v):
     """(h, the matrix of h in the eigenbasis of `v`) for every element h."""
     basis = eigen_decompose(group, v.source_index).basis
     field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
-    times_basis = linalg.RightMultiplier(basis)
     for h, element in enumerate(group.elements):
-        yield h, linalg.RightMultiplier(times_basis(embed(element, field)))(basis_inverse)
+        yield h, mat_mul(basis_inverse, mat_mul(embed(element, field), basis))
 
 
 def _block_diagonal_members(group, v):
@@ -372,7 +371,7 @@ def test_eigen_decompose_of_a_diagonal_group_inverts_nothing(name, choice, monke
         with monkeypatch.context() as patch:
             patch.setattr(CycNum, "inverse", refuse)
             d = eigen_decompose(group, cls.representative)
-        assert linalg.RightMultiplier(linalg.mat_inv(d.basis))(d.basis) == \
+        assert mat_mul(d.basis, linalg.mat_inv(d.basis)) == \
             linalg.identity(d.basis[0][0].field, group.dimension)
 
 
@@ -412,11 +411,9 @@ def oracle_ram_group(group, v):
     weights, n = v.weights, group.dimension
     basis = eigen_decompose(group, v.source_index).basis
     field, basis_inverse = basis[0][0].field, linalg.mat_inv(basis)
-    times_basis = linalg.RightMultiplier(basis)
     members = []
     for h in stab_group(group, v):
-        m = linalg.RightMultiplier(times_basis(embed(group.elements[h], field)))(
-            basis_inverse)
+        m = mat_mul(basis_inverse, mat_mul(embed(group.elements[h], field), basis))
         assert not any(m[i][j] for i in range(n) for j in range(n)
                        if weights[i] != weights[j])
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
@@ -458,9 +455,9 @@ def test_ram_equals_the_conjugation_oracle_off_the_diagonal(data):
     field = diagonal[0][0][0].field
     p = tuple(tuple(field.from_rational(c) for c in row)
               for row in data.draw(unimodular_matrices(spec.n)))
-    p_inv, times_p = linalg.mat_inv(p), linalg.RightMultiplier(p)
+    p_inv = linalg.mat_inv(p)
     _assert_ram_matches_oracle(close_group(
-        [times_p(linalg.RightMultiplier(d)(p_inv)) for d in diagonal]))
+        [mat_mul(mat_mul(p_inv, d), p) for d in diagonal]))
 
 
 def test_ram_builds_one_polynomial_per_walk(capsys, monkeypatch, tmp_path):
