@@ -90,11 +90,10 @@ def cmd_classes(args) -> str:
 
 
 def cmd_betti(args) -> str:
-    _, group = _load(args)
-    if group.dimension != 3:
-        raise RequirementError(
-            f"betti requires dimension 3, got {group.dimension}"
-        )
+    gf = _group_file(args)
+    if gf.dimension != 3:  # before the closure, which may be long
+        raise RequirementError(f"betti requires dimension 3, got {gf.dimension}")
+    group = gf.close(cap=args.max_order)
     table = age_mod.grade(group)
     prediction = age_mod.betti_prediction(table)
     pairing = age_mod.inverse_bijection(table)
@@ -167,7 +166,11 @@ def cmd_toric(args) -> str:
 
 
 def cmd_diagram(args) -> str:
-    _, group = _load(args)
+    gf = _group_file(args)
+    if gf.dimension != 2:  # before the closure, as in `betti`
+        raise RequirementError(
+            f"resolution graphs require dimension 2, got {gf.dimension}")
+    group = gf.close(cap=args.max_order)
     graph = quiver.fold(group)
     if args.format == "dot":
         return quiver.to_dot(graph) + "\n"

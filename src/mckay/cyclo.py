@@ -31,8 +31,6 @@ from operator import add, sub
 
 from .errors import FieldCapError, InternalInvariantError, RequirementError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes '²', which int() refuses
 
 # Largest cyclotomic order a field is built for; larger orders are refused
@@ -139,18 +137,18 @@ class CyclotomicField:
     def from_rational(self, value) -> "CycNum":
         return self.element({0: Fraction(value)})
 
-    def element(self, powers: dict[int, Fraction]) -> "CycNum":
-        """Build the element sum_k c_k * zeta^k from a sparse power map of
-        int or Fraction coefficients, reducing exponents modulo the order
-        and then modulo Phi."""
-        den = lcm(*(c.denominator for c in powers.values()))
+    def element(self, powers: dict[int, Fraction], den: int = 1) -> "CycNum":
+        """Build the element (sum_k c_k * zeta^k) / den from a sparse power
+        map of int or Fraction coefficients and a positive integer `den`,
+        reducing exponents modulo the order and then modulo Phi."""
+        scale = lcm(*(c.denominator for c in powers.values()))
         nums = [0] * self.degree
         for k, c in powers.items():
             if c:
-                scaled = c.numerator * (den // c.denominator)
+                scaled = c.numerator * (scale // c.denominator)
                 for i, t in self._power_table[k % self.order]:
                     nums[i] += scaled * t
-        return CycNum(self, tuple(nums), den)
+        return CycNum(self, tuple(nums), den * scale)
 
     def __repr__(self):
         return f"Q(zeta_{self.order})"
@@ -387,8 +385,9 @@ class LiteralSyntaxError(RequirementError):
 
 def parse_literal(text: str, field: CyclotomicField) -> CycNum:
     """Parse a sum of terms ``c``, ``c*z^k``, ``c*z`` or bare ``z^k``/``z``
-    where c is an integer or integer fraction p/q.  Whitespace insignificant."""
-    powers: dict[int, Fraction] = {}
+    where c is an integer or integer fraction p/q.  Whitespace insignificant.
+    Each power's coefficient is summed as an integer pair (num, den)."""
+    powers: dict[int, tuple[int, int]] = {}
     i, n = 0, len(text)
 
     def skip_ws(i):
@@ -420,17 +419,15 @@ def parse_literal(text: str, field: CyclotomicField) -> CycNum:
             sign = -1 if text[i] == "-" else 1
             i = skip_ws(i + 1)
         first = False
-        coef = _ONE
+        num = den = 1
         has_coef = False
         if i < n and text[i] in _DIGITS:
             num, i = parse_uint(i, "number")
-            den = 1
             i2 = skip_ws(i)
             if i2 < n and text[i2] == "/":
                 den, i = parse_uint(skip_ws(i2 + 1), "denominator")
                 if den == 0:
                     raise LiteralSyntaxError("zero denominator", i2 + 1)
-            coef = Fraction(num, den)
             has_coef = True
             i = skip_ws(i)
             if i < n and text[i] == "*":
@@ -447,6 +444,9 @@ def parse_literal(text: str, field: CyclotomicField) -> CycNum:
                 i = skip_ws(i)
         elif not has_coef:
             raise LiteralSyntaxError("expected a term", i)
-        powers[power] = powers.get(power, _ZERO) + sign * coef
+        a, b = powers.get(power, (0, 1))
+        powers[power] = a * den + sign * num * b, b * den
         i = skip_ws(i)
-    return field.element(powers)
+    common = lcm(*(b for _, b in powers.values()))
+    return field.element(
+        {k: a * (common // b) for k, (a, b) in powers.items()}, common)

@@ -5,10 +5,18 @@ Every point of the overlattice has coordinates over one denominator D, the
 exponent of the group, so a box point p is kept as the integer vector
 P = D*p with entries in [0, D).  The box is the group, built one cyclic
 factor at a time: each generator's step adds the cosets of the subgroup
-found so far, so every point is computed once.  The age of p is sum(P)/D,
-and the junior points are those with sum(P) = D.  `Fraction` points are
-built only for output (`box_points`, `junior_points`, the condition (i)
-witness and the resolution's vertices), each c/D once per lattice.
+found so far, so every point is computed once.  The age of p is sum(P)/D.
+The lattice sums each P once, right after sorting, into an index that the
+ages of `box_points`, the juniors (sum(P) = D), the sum-2 count and
+condition (i) all read.  `Fraction` points are built only for output
+(`box_points`, `junior_points`, the condition (i) witness and the
+resolution's vertices), each c/D once per lattice.
+
+Condition (i) asks, for each box point of age >= 2, whether it dominates a
+junior, in a k-d tree of the juniors (Bentley, 1975) whose nodes carry the
+least corner of their subtree.  The tree is built bottom-up: a node's
+corner is the coordinatewise minimum of its own point and its children's
+corners, O(n) per node.
 
 The n = 3 resolution charts the lattice points of the junior triangle into
 an affine Z^2 and triangulates by point insertion, locating each point by a
@@ -22,12 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
-from operator import add, mod
+from operator import add, itemgetter, le, mod
 
 from .cyclo import cyclotomic_field
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
-from .matgroup import DEFAULT_CAP
+from .matgroup import DEFAULT_CAP, _Lazy
 from .record import Record
 
 Point = tuple[Fraction, ...]
@@ -99,6 +108,8 @@ class OverLattice:
 
     `scaled_points` are the box points times `denominator`, as integer
     vectors in lexicographic order; `box_points` is their `Fraction` view.
+    `sums[i]` is the sum of `scaled_points[i]`, its age times `denominator`,
+    and `scaled_juniors` are the points whose sum is `denominator`.
     """
 
     def __init__(self, spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP):
@@ -130,24 +141,23 @@ class OverLattice:
         self._point_set = points
         self.scaled_points = sorted(points)
         self.index = len(points)
-        self._fractions = {}
+        self.sums = list(map(sum, self.scaled_points))
+        self.scaled_juniors = list(
+            compress(self.scaled_points, map(den.__eq__, self.sums)))
+        # c / denominator, one Fraction per numerator and lattice
+        self._fractions = _Lazy(lambda c: Fraction(c, den))
 
     @cached_property
     def box_points(self) -> list[BoxPoint]:
+        fractions = self._fractions
         return [
-            BoxPoint(self._fraction_point(p), self._fraction(sum(p)),
+            BoxPoint(self._fraction_point(p), fractions[age],
                      self._is_primitive(p))
-            for p in self.scaled_points
+            for p, age in zip(self.scaled_points, self.sums)
         ]
 
-    def _fraction(self, c: int) -> Fraction:
-        """c / denominator, one Fraction per numerator and lattice."""
-        if c not in self._fractions:
-            self._fractions[c] = Fraction(c, self.denominator)
-        return self._fractions[c]
-
     def _fraction_point(self, scaled: tuple[int, ...]) -> Point:
-        return tuple(map(self._fraction, scaled))
+        return tuple(map(self._fractions.__getitem__, scaled))
 
     def _is_primitive(self, scaled: tuple[int, ...]) -> bool:
         # p/m lies in L only if m divides every entry of P = D*p, and then so
@@ -186,8 +196,7 @@ def _require_sl(lattice: OverLattice):
 def _juniors(lattice: OverLattice) -> list[tuple[int, ...]]:
     """Scaled box points on the hyperplane sum = 1, in lexicographic order."""
     _require_sl(lattice)
-    den = lattice.denominator
-    return [p for p in lattice.scaled_points if sum(p) == den]
+    return lattice.scaled_juniors
 
 
 def junior_points(lattice: OverLattice) -> list[Point]:
@@ -206,8 +215,7 @@ def gamma2_hyperplane_count(lattice: OverLattice) -> int:
         raise RequirementError(
             f"hyperplane count requires dimension 4, got {lattice.n}"
         )
-    twice = 2 * lattice.denominator
-    return sum(1 for p in lattice.scaled_points if sum(p) == twice)
+    return lattice.sums.count(2 * lattice.denominator)
 
 
 def discrepancy(weights, order: int = 1) -> Fraction:
@@ -252,43 +260,46 @@ def condition_i(lattice: OverLattice) -> ConditionWitness:
     """
     juniors = _kd_tree(_juniors(lattice))
     den = lattice.denominator
-    for p in lattice.scaled_points:
-        age = sum(p)
-        if age % den:
-            raise InternalInvariantError("SL box point with non-integer age")
-        if age > den and not _dominates_one(juniors, p):
+    if any(map(den.__rmod__, lattice.sums)):
+        raise InternalInvariantError("SL box point with non-integer age")
+    for p in compress(lattice.scaled_points, map(den.__lt__, lattice.sums)):
+        if not _dominates_one(juniors, p):
             return ConditionWitness(False, lattice._fraction_point(p))
     return ConditionWitness(True, None)
 
 
 def _kd_tree(points, depth=0):
     """A k-d tree node (least corner, point, lower half, upper half), split
-    at the median of coordinate depth mod n; None when `points` is empty."""
+    at the median of coordinate depth mod n; None when `points` is empty.
+    The corner is the least of the point's and the children's corners."""
     if not points:
         return None
     axis = depth % len(points[0])
-    points = sorted(points, key=lambda p: p[axis])
+    points = sorted(points, key=itemgetter(axis))
     mid = len(points) // 2
-    return (tuple(map(min, zip(*points))), points[mid],
-            _kd_tree(points[:mid], depth + 1),
-            _kd_tree(points[mid + 1:], depth + 1))
+    point = points[mid]
+    lower = _kd_tree(points[:mid], depth + 1)
+    upper = _kd_tree(points[mid + 1:], depth + 1)
+    if upper is not None:  # then mid >= 1, so lower is not empty either
+        corner = tuple(map(min, point, lower[0], upper[0]))
+    elif lower is not None:
+        corner = tuple(map(min, point, lower[0]))
+    else:
+        corner = point
+    return corner, point, lower, upper
 
 
 def _dominates_one(node, p) -> bool:
     """Whether p >= some point of the k-d tree `node` in every coordinate.
     A subtree whose least corner p does not dominate holds no such point."""
-    if node is None:
-        return False
-    corner, point, lower, upper = node
-    for a, c in zip(p, corner):
-        if c > a:
+    while node is not None:
+        corner, point, lower, upper = node
+        if not all(map(le, corner, p)):
             return False
-    for a, b in zip(p, point):
-        if b > a:
-            break
-    else:
-        return True
-    return _dominates_one(lower, p) or _dominates_one(upper, p)
+        if all(map(le, point, p)) or _dominates_one(lower, p):
+            return True
+        node = upper
+    return False
 
 
 class JuniorTriangulation(Record):

@@ -184,6 +184,36 @@ def test_diagram_rejects_dimension3(capsys):
     assert "dimension 2" in err
 
 
+WRONG_DIMENSION = [
+    (["betti"], "bd8", "betti requires dimension 3, got 2"),
+    (["diagram"], "trihedral27", "resolution graphs require dimension 2, got 3"),
+    (["diagram", "--format", "json"], "trihedral27",
+     "resolution graphs require dimension 2, got 3"),
+]
+
+
+@pytest.mark.parametrize("command, name, message", WRONG_DIMENSION)
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+def test_wrong_dimension_is_refused_before_the_closure(
+        capsys, monkeypatch, command, name, message, choice):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed the group of a file of the wrong dimension")
+
+    monkeypatch.setattr(GroupFile, "close", refuse)
+    code, out, err = run(capsys, *command, str(group_path(name)),
+                         "--choice", choice)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, name, message", WRONG_DIMENSION)
+def test_wrong_dimension_takes_precedence_over_the_closure_cap(
+        capsys, command, name, message):
+    path = str(group_path(name))
+    assert run(capsys, "info", path, "--max-order", "2")[0] == 4
+    code, out, err = run(capsys, *command, path, "--max-order", "2")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_ram_junior_class(capsys):
     classes = run_json(capsys, "classes", str(group_path("cyclic_7_124")))
     junior = next(c for c in classes["classes"]

@@ -19,8 +19,9 @@ from mckay.cyclo import (
     parse_literal,
 )
 from mckay.errors import FieldCapError, RequirementError
+from mckay.groupfile import parse_group_file
 
-from conftest import closed_group, graded_table, mat_mul
+from conftest import CORPUS, closed_group, graded_table, group_path, mat_mul
 
 
 def coeffs(x):
@@ -394,6 +395,25 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
         assert grade(group).buckets == expected[name]
 
 
+def test_parsing_the_corpus_does_no_fraction_arithmetic(monkeypatch):
+    """Every literal of every corpus file is summed as integer pairs: the
+    parse gives the same generators with Fraction arithmetic forbidden."""
+    paths = [group_path(name) for name in CORPUS]
+    files = [parse_group_file(path) for path in paths]
+    assert sum(gf.format == "matrix" for gf in files) == 5
+    expected = [gf.matrices() for gf in files]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic while parsing")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + 1
+    assert [parse_group_file(path).matrices() for path in paths] == expected
+
+
 @pytest.mark.parametrize("order", [3, 5, 8, 12, 60, 97, 316])
 def test_dense_inverse_matches_the_fraction_reference(order):
     # dense elements with mixed denominators: x * x^-1 is 1 in the integer
@@ -459,6 +479,11 @@ def test_parse_literal():
     assert parse_literal(" 3 ", f8) == f8.from_rational(3)
     assert parse_literal("2*z^8", f8) == f8.from_rational(2)
     assert parse_literal("1 + z - z", f8) == f8.one()
+    # one power over several denominators, and a power wrapping past 8
+    assert parse_literal("1/2*z + 1/3*z - 5/6*z", f8) == f8.zero()
+    assert parse_literal("1/2 - 1/3 + 2/4*z^2 + z^10", f8) == \
+        Fraction(1, 6) + Fraction(3, 2) * f8.zeta(2)
+    assert parse_literal("-3/9", f8) == f8.from_rational(Fraction(-1, 3))
 
 
 def test_parse_literal_roundtrip():

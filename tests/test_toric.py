@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -360,6 +361,59 @@ def test_condition_i_matches_multiset_search(spec):
 ], ids=["terminal_5_1423", "dim4_index125"])
 def test_condition_i_matches_multiset_search_examples(spec):
     assert_matches_multiset_search(build_lattice(spec))
+
+
+def oracle_kd_tree(points, depth=0):
+    """The top-down build that `toric._kd_tree` replaced: each node's corner
+    is the minimum over every point of its subtree."""
+    if not points:
+        return None
+    axis = depth % len(points[0])
+    points = sorted(points, key=lambda p: p[axis])
+    mid = len(points) // 2
+    return (tuple(map(min, zip(*points))), points[mid],
+            oracle_kd_tree(points[:mid], depth + 1),
+            oracle_kd_tree(points[mid + 1:], depth + 1))
+
+
+def toric_dim4_specs():
+    """Both families of the `toric_dim4` benchmark: (1/r)(1,r-1,0,0) +
+    (1/r)(0,u,r-u,0) + (1/r)(0,0,v,r-v) for r = 5, 6 and all units u, v,
+    and (1/7)(1,6,a,7-a) for every a."""
+    for r in (5, 6):
+        units = [u for u in range(1, r) if gcd(u, r) == 1]
+        for u in units:
+            for v in units:
+                yield DiagonalGroupSpec(4, ((r, (1, r - 1, 0, 0)),
+                                            (r, (0, u, r - u, 0)),
+                                            (r, (0, 0, v, r - v))))
+    for a in range(1, 7):
+        yield DiagonalGroupSpec(4, ((7, (1, 6, a, 7 - a)),))
+
+
+def assert_index_matches_the_scans(lat):
+    """The sums index, the juniors and the k-d tree against the scans they
+    replaced, and each dominance query against a scan of the juniors."""
+    assert lat.sums == [sum(p) for p in lat.scaled_points]
+    juniors = [p for p in lat.scaled_points if sum(p) == lat.denominator]
+    assert lat.scaled_juniors == juniors
+    tree = toric._kd_tree(juniors)
+    assert tree == oracle_kd_tree(juniors)
+    for p in lat.scaled_points:
+        assert toric._dominates_one(tree, p) == any(
+            all(map(le, j, p)) for j in juniors), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_specs(max_index=150, sl=None))
+def test_sums_index_and_kd_tree_match_the_scans(spec):
+    assert_index_matches_the_scans(build_lattice(spec))
+
+
+@pytest.mark.parametrize("spec", list(toric_dim4_specs()),
+                         ids=lambda spec: str(spec.generators))
+def test_sums_index_and_kd_tree_match_the_scans_on_the_dim4_families(spec):
+    assert_index_matches_the_scans(build_lattice(spec))
 
 
 def test_lattice_cap_counts_box_points():
