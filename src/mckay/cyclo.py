@@ -7,14 +7,17 @@ reduced modulo the R-th cyclotomic polynomial and with
 gcd(den, *nums) = 1.  The normal form is unique, so equality and hashing
 compare integer tuples.  Arithmetic is integer arithmetic: sums add
 numerators over a common denominator, products convolve the numerators and
-reduce through the field's table of powers of zeta, and inverses run the
-extended Euclidean algorithm on integer polynomials.  One kernel, `_dot`,
-does that convolution and reduction and returns the normal form
-(nums, den): `CycNum.__mul__` wraps it, and the row kernel of `linalg`
+reduce through the field's table of powers of zeta; nothing divides.  One
+kernel, `_dot`, does that convolution and reduction and returns the normal
+form (nums, den): `CycNum.__mul__` wraps it, and the row kernel of `linalg`
 uses it on the integer rows of a closure, reducing each entry's sum of
 products once.  `fractions.Fraction` appears only at the boundaries:
 building elements from rational coefficients, reading them back
 (`as_rational`, `to_literal`), and hashing a rational element.
+
+What needs a division runs modulo a split prime P = 1 (mod lcm(2, R)),
+where zeta maps to an omega of order R (`split_prime`): the modular method
+of von zur Gathen and Gerhard (Modern Computer Algebra, chapter 5).
 
 Convention: the field generator ``zeta`` is the distinguished primitive
 R-th root of unity.  All gradings downstream depend on this choice; the
@@ -29,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
-from .errors import FieldCapError, InternalInvariantError, RequirementError
+from .errors import FieldCapError, RequirementError
 
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes '²', which int() refuses
 
@@ -102,7 +105,8 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 class CyclotomicField:
     """The field Q(zeta_R); immutable, one shared instance per order."""
 
-    __slots__ = ("order", "degree", "min_poly", "_power_table", "_zero", "_one")
+    __slots__ = ("order", "degree", "min_poly", "_power_table", "_zero",
+                 "_zero_pair", "_one")
 
     def __init__(self, order: int):
         self.order = order
@@ -123,6 +127,7 @@ class CyclotomicField:
                     rep[i] -= top * self.min_poly[i]
         self._power_table = table
         self._zero = CycNum(self, (0,) * self.degree)
+        self._zero_pair = (self._zero.nums, 1)  # shared by every zero entry of a row
         self._one = self.element({0: 1})
 
     def zero(self) -> "CycNum":
@@ -161,6 +166,40 @@ def cyclotomic_field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
 
 
+# The first 13 primes: Miller-Rabin to these bases is deterministic below
+# 3.3 * 10^24 (Sorenson and Webster, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases `_WITNESSES`; exact for n < 3.3 * 10^24."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    return all(x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
+               for x in (pow(a, (n - 1) >> s, n) for a in _WITNESSES))
+
+
+@lru_cache(maxsize=None)
+def split_prime(order: int, above: int = 2 ** 62) -> tuple[int, int]:
+    """The first prime P > `above` with P = 1 (mod M), M = lcm(2, order),
+    and omega of order exactly `order` mod P: the image of zeta under
+    Q(zeta_order) -> F_P, where the roots of unity mu_M map injectively.
+    omega is x^(M/order) for the first x = a^((P-1)/M), a = 2, 3, ..., of
+    order M, that is with x^(M/q) != 1 for every prime q dividing M."""
+    m = lcm(2, order)
+    p = above - above % m + 1
+    while p <= above or not is_prime(p):
+        p += m
+    factors = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    a = 2
+    while True:
+        x = pow(a, (p - 1) // m, p)
+        if all(pow(x, m // q, p) != 1 for q in factors):
+            return p, pow(x, m // order, p)
+        a += 1
+
+
 def _terms(nums: tuple[int, ...]) -> list[tuple[int, int]]:
     """The nonzero numerators as (power of zeta, integer) pairs."""
     return [(i, c) for i, c in enumerate(nums) if c]
@@ -172,7 +211,7 @@ def _dot(field: CyclotomicField, pairs) -> tuple[tuple[int, ...], int]:
     the denominators, one convolution buffer, one reduction modulo Phi_R
     through the power table, one division by gcd(den, *nums)."""
     if not pairs:
-        return field._zero.nums, 1
+        return field._zero_pair
     den = pairs[0][0] if len(pairs) == 1 else lcm(*(d for d, _, _ in pairs))
     deg = field.degree
     conv = [0] * (2 * deg - 1)
@@ -195,15 +234,6 @@ def _dot(field: CyclotomicField, pairs) -> tuple[tuple[int, ...], int]:
             conv = [c // g for c in conv]
             den //= g
     return tuple(conv), den
-
-
-def _cancel(a: list[int], p: int, b: list[int], q: int, shift: int) -> list[int]:
-    """p*a - q*x^shift*b on ascending integer coefficient lists."""
-    out = [p * c for c in a]
-    out += [0] * (len(b) + shift - len(out))
-    for i, d in enumerate(b, shift):
-        out[i] -= q * d
-    return out
 
 
 class CycNum:
@@ -299,38 +329,6 @@ class CycNum:
         if any(self.nums[1:]):
             return hash((self.field.order, self.nums, self.den))
         return hash(Fraction(self.nums[0], self.den))
-
-    def inverse(self) -> "CycNum":
-        """Multiplicative inverse by the extended Euclidean algorithm on
-        integer polynomials.  Both rows (r, s), first (Phi_R, 0) and
-        (nums, 1), keep r = s*nums (mod Phi_R).  The leading term of the
-        longer r is cancelled by cross-multiplying the leading coefficients,
-        and the row is then divided by its content, which keeps the
-        integers small (the primitive remainder sequence).  At a constant
-        r = c the inverse is den*s/c."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        r0, s0 = list(self.field.min_poly), []
-        r1, s1 = list(self.nums), [1]
-        while not r1[-1]:
-            r1.pop()
-        while len(r1) > 1:
-            while len(r0) >= len(r1):
-                p, q, shift = r1[-1], r0[-1], len(r0) - len(r1)
-                r0, s0 = _cancel(r0, p, r1, q, shift), _cancel(s0, p, s1, q, shift)
-                while r0 and not r0[-1]:
-                    r0.pop()
-                if not r0:  # pragma: no cover - impossible, Phi is irreducible
-                    raise InternalInvariantError("gcd with Phi_R is not constant")
-                g = gcd(*r0, *s0)
-                if g != 1:
-                    r0, s0 = [c // g for c in r0], [c // g for c in s0]
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        c, scale = r1[0], self.den
-        if c < 0:
-            c, scale = -c, -scale
-        return CycNum(self.field, tuple(scale * x for x in s1)
-                      + (0,) * (self.field.degree - len(s1)), c)
 
     def as_rational(self) -> Fraction | None:
         """The rational value if this element lies in Q, else None."""

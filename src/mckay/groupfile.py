@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from . import linalg
 from .cyclo import LiteralSyntaxError, cyclotomic_field, parse_literal
-from .errors import GroupFileError, RequirementError
+from .errors import GroupFileError
 from .matgroup import DEFAULT_CAP, MatrixGroup, close_group
 from .record import Record
 from .toric import DiagonalGroupSpec
@@ -41,16 +40,18 @@ from .toric import DiagonalGroupSpec
 
 class GroupFile(Record):
     __slots__ = ("format", "dimension", "cyclotomic_order", "generator_names",
-                 "matrix_generators", "diagonal_generators")
+                 "matrix_generators", "diagonal_generators", "inverse")
     def __init__(self, format: str, dimension: int, cyclotomic_order: int | None,
                  generator_names: list[str], matrix_generators: list[tuple[tuple, ...]],
-                 diagonal_generators: list[tuple[int, tuple[int, ...]]]):
+                 diagonal_generators: list[tuple[int, tuple[int, ...]]],
+                 inverse: bool = False):
         self.format = format  # "matrix" | "diagonal"
         self.dimension = dimension
         self.cyclotomic_order = cyclotomic_order
         self.generator_names = generator_names
         self.matrix_generators = matrix_generators  # CycNum matrices (matrix fmt)
         self.diagonal_generators = diagonal_generators  # (r, exponents)
+        self.inverse = inverse  # close on the inverses of `matrix_generators`
 
     def to_spec(self) -> DiagonalGroupSpec:
         if self.format != "diagonal":
@@ -64,18 +65,18 @@ class GroupFile(Record):
 
     def inverted(self) -> GroupFile:
         """The same file with every generator replaced by its inverse: the
-        opposite identification of roots of unity (`--choice inverse`)."""
-        try:
-            mats = [linalg.mat_inv(m) for m in self.matrix_generators]
-        except ZeroDivisionError:
-            raise RequirementError("non-invertible generator") from None
+        opposite identification of roots of unity (`--choice inverse`).  A
+        diagonal generator's exponents flip here; matrix generators stay
+        as they are, and `close` closes on their inverses."""
         return GroupFile(self.format, self.dimension, self.cyclotomic_order,
-                         self.generator_names, mats,
+                         self.generator_names, self.matrix_generators,
                          [(r, tuple((r - a) % r for a in exps))
-                          for r, exps in self.diagonal_generators])
+                          for r, exps in self.diagonal_generators],
+                         self.format == "matrix" and not self.inverse)
 
     def close(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
-        return close_group(self.matrices(), cap=cap, names=self.generator_names)
+        return close_group(self.matrices(), cap=cap, names=self.generator_names,
+                           inverse=self.inverse)
 
 
 def _tokens(text: str):

@@ -1,16 +1,17 @@
-"""Exact dense linear algebra over a cyclotomic field.
+"""Exact dense linear algebra over a cyclotomic field, without division.
 
 Matrices are tuples of row tuples of CycNum.  An integer row is the tuple
 of the normal forms (nums, den) of its entries.  The closure's kernel
 `RightMultiplier` maps an integer row to its product with a fixed matrix,
 one call of the integer kernel `cyclo._dot` per entry; the matrix's
 numerator terms are taken once, and the row's are passed in by the
-caller.  `det`, `rref` and `mat_inv`
-run on one elimination, `_eliminate`, which inverts a pivot only when an
-entry must be divided by it.
+caller.  The one computation that divides, the determinant, runs modulo a
+split prime of the field (`cyclo.split_prime`), on integers: `det_image`.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .cyclo import CyclotomicField, CycNum, _dot, _terms
 
@@ -65,60 +66,25 @@ def trace(a: Matrix) -> CycNum:
     return sum((a[i][i] for i in range(len(a))), a[0][0].field.zero())
 
 
-def _eliminate(rows: list[list[CycNum]], reduced: bool):
-    """Gaussian elimination on `rows`, in place, column by column.  For
-    each pivot it finds it yields (column, pivot, whether a row swap brought
-    it up), and then clears the pivot's column: below the pivot only, or,
-    if `reduced`, also above it, after scaling the pivot row to a leading 1,
-    which leaves the reduced row echelon form.  A pivot is inverted only
-    when an entry must be divided by it: not when it is 1 or alone in its
-    row, and in the forward pass not when no row below needs clearing."""
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+def det_image(a: Matrix, prime: int, omega: int) -> int:
+    """The image of det(a) in F_prime under zeta -> omega, by Gaussian
+    elimination mod `prime`: no field element is inverted.  Raises
+    ValueError if `prime` divides the denominator of an entry."""
+    powers = [pow(omega, k, prime) for k in range(a[0][0].field.degree)]
+    rows = [[sum(map(mul, x.nums, powers)) * pow(x.den, -1, prime) % prime
+             if any(x.nums) else 0 for x in row] for row in a]
+    result = 1
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
         if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pivot, tail = rows[r][c], rows[r][c + 1:]
-        yield c, pivot, p != r
-        targets = [i for i in range(0 if reduced else r + 1, len(rows))
-                   if i != r and rows[i][c]]
-        if pivot != 1 and any(tail) and (reduced or targets):
-            inverse = pivot.inverse()
-            tail = [x * inverse for x in tail]
-        if reduced:
-            rows[r][c:] = [pivot.field.one(), *tail]
-        for i in targets:  # row i minus rows[i][c] times the scaled pivot row
-            f, row = rows[i][c], rows[i]
-            row[c:] = [pivot.field.zero(), *(x - f * y if y else x
-                                             for x, y in zip(row[c + 1:], tail))]
-        r += 1
-
-
-def det(a: Matrix) -> CycNum:
-    """The product of the forward pass's pivots, up to the sign of its row
-    swaps; it stops at the first column without a pivot."""
-    result, rank = a[0][0].field.one(), 0
-    for c, pivot, swapped in _eliminate([list(row) for row in a], False):
-        if c != rank:
-            break
-        result = -(result * pivot) if swapped else result * pivot
-        rank += 1
-    return result if rank == len(a) else a[0][0].field.zero()
-
-
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with lexicographic pivot order."""
-    rows = [list(row) for row in a]
-    pivots = tuple(c for c, _, _ in _eliminate(rows, True))
-    return tuple(tuple(row) for row in rows), pivots
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    field = a[0][0].field
-    aug = tuple(row + ident_row for row, ident_row in zip(a, identity(field, n)))
-    echelon, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(row[n:] for row in echelon)
+            return 0
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            result = -result
+        pivot = rows[c]
+        result = result * pivot[c] % prime
+        for row in rows[c + 1:]:
+            if row[c]:
+                f = row[c] * pow(pivot[c], -1, prime) % prime
+                row[c:] = [(x - f * y) % prime for x, y in zip(row[c:], pivot[c:])]
+    return result % prime

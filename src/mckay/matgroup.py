@@ -30,7 +30,7 @@ from collections import Counter
 from math import gcd, lcm
 
 from . import linalg
-from .cyclo import CycNum
+from .cyclo import CycNum, split_prime
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
 
 DEFAULT_CAP = 100_000
@@ -240,42 +240,91 @@ def _require_finite_order(matrix, names, tree, entry):
                                f"is not a sum of {n} roots of unity")
 
 
-def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
-    """Breadth-first closure of a generator list under multiplication.
+def _scan(keys, steps, admit):
+    """The breadth-first scan of a closure on hashable element keys: `keys`
+    holds the identity's key, then the generators', and `steps[k](key)` is
+    the key of that element times generator k.  A new key goes to
+    `admit(key, entry, tree, check)` before it is indexed, `check` being
+    true for the words of length 1 and 2.  Returns the keys in index order,
+    the tree, `right` and the generator indices."""
+    found, index_of, tree = [], {}, []
 
-    A row is met as its integer form, the tuple of the normal forms
-    (nums, den) of its entries, and `row_of` dedupes it on those integers.
-    `rows` holds one tuple of CycNum per distinct row, zero entries being
-    `field.zero()`, and an element is the tuple of its row ids,
-    deduplicated on that tuple; its matrix shares the row tuples.
-    `images[k][r]`, the id of row r times generator k, is computed on first
-    lookup by the generator's row kernel `linalg.RightMultiplier` from the
-    row's terms, taken once per row, so the field work is (distinct rows) x
-    (generators) row products.  The result contains the identity and all
-    products and inverses; raises ClosureCapError if more than `cap`
-    elements appear.
-    The words of length 1 and 2, the generators and the new elements found
-    while the scan visits the identity and the generators, must pass the
-    trace test of `_require_finite_order`; one that fails it has infinite
-    order and is refused before the closure goes on.
+    def add(key, entry, check):
+        index = index_of.get(key)
+        if index is None:
+            admit(key, entry, tree, check)
+            index = index_of[key] = len(found)
+            found.append(key)
+            tree.append(entry)
+        return index
+
+    add(keys[0], (0, None, 0), False)
+    generator_indices = tuple(add(key, (0, k, 1), True) for k, key in enumerate(keys[1:]))
+    short = max(generator_indices)  # scanning p <= short adds the words of length 2
+    right = [[] for _ in steps]
+    # `found` grows during the scan, so this visits elements in
+    # breadth-first order and right[k][p] is filled for every p.
+    for p, key in enumerate(found):
+        j, last, m = tree[p]
+        for k, step in enumerate(steps):
+            entry = (j, k, m + 1) if k == last else (p, k, 1)
+            right[k].append(add(step(key), entry, p <= short))
+    return found, tree, right, generator_indices
+
+
+def close_group(generators, cap: int = DEFAULT_CAP, names=None,
+                inverse: bool = False) -> MatrixGroup:
+    """Breadth-first closure of a generator list under multiplication, or,
+    if `inverse`, of the list of their inverses.
+
+    Each generator's determinant is first mapped into F_P by
+    `linalg.det_image`, P the field's split prime (the next one if P
+    divides a denominator).  A generator of finite order has its
+    determinant in mu_M, M = lcm(2, R), which maps injectively into F_P^*:
+    an image outside it, zero included, refuses the generator as singular
+    or of infinite order.  Once the closure succeeds, `in_sl` (every image
+    is 1) is exact.
+
+    `_scan` keys an element by its row ids.  A row is met as its integer
+    form, the normal forms (nums, den) of its entries, zero entries sharing
+    the field's zero pair, and `row_of` dedupes it on those integers.
+    `rows` holds one tuple of CycNum per distinct row, shared by the
+    elements' matrices.  `images[k][r]`, the id of row r times generator k,
+    is computed on first lookup by `linalg.RightMultiplier`, so the field
+    work is (distinct rows) x (generators) row products.  Raises
+    ClosureCapError past `cap` elements, and RequirementError for a word
+    of length 1 or 2 that fails the trace test of `_require_finite_order`.
+
+    Under `inverse`, each table right[k] of the closed group is a
+    permutation, whose inverse is right multiplication by the inverse of
+    generator k.  The scan re-runs on indices with the inverted tables,
+    which gives the elements, tree and tables that closing the inverted
+    matrices gives, with no field work.
     """
     if not generators:
         raise RequirementError("at least one generator is required")
     n = len(generators[0])
     field = generators[0][0][0].field
-    determinants = []
     for g in generators:
         if len(g) != n or any(len(row) != n for row in g):
             raise RequirementError("generators must be square matrices of equal size")
         if any(x.field is not field for row in g for x in row):
             raise RequirementError("generators must share one cyclotomic field")
-        determinants.append(linalg.det(g))
-        if not determinants[-1]:
-            raise RequirementError("non-invertible generator")
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
+    prime, omega = split_prime(field.order)
+    while True:
+        try:
+            determinants = [linalg.det_image(g, prime, omega) for g in generators]
+            break
+        except ValueError:  # the prime divides a denominator
+            prime, omega = split_prime(field.order, prime)
+    for name, d in zip(names, determinants):
+        if pow(d, lcm(2, field.order), prime) != 1:
+            raise RequirementError(f"generator {name} is singular or of infinite "
+                                   "order: its determinant is not a root of unity")
 
-    zero = field.zero()
+    zero, zero_pair = field.zero(), field._zero_pair
     rows = []  # the distinct rows, as tuples of CycNum shared by the elements
     operands = []  # operands[r]: rows[r] as an integer row, and its kernel terms
     row_of = {}  # integer row -> id
@@ -294,45 +343,29 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None) -> MatrixGroup:
         times = linalg.RightMultiplier(g)
         return _Lazy(lambda r: row_id(times(*operands[r])))
 
-    images = [image_table(g) for g in generators]
+    def row_ids(matrix):
+        return tuple(row_id(tuple((x.nums, x.den) if any(x.nums) else zero_pair
+                                  for x in row)) for row in matrix)
 
     elements = []
-    ids_of = []  # ids_of[i]: the row ids of elements[i]
-    index_of = {}
-    tree = []
 
-    def add(ids, entry, check):
-        index = index_of.get(ids)
-        if index is None:
-            matrix = tuple(rows[r] for r in ids)
-            if check:
-                _require_finite_order(matrix, names, tree, entry)
-            if len(elements) >= cap:
-                raise ClosureCapError(cap)
-            index = len(elements)
-            elements.append(matrix)
-            ids_of.append(ids)
-            index_of[ids] = index
-            tree.append(entry)
-        return index
+    def admit(ids, entry, tree, check):
+        matrix = tuple(rows[r] for r in ids)
+        if check:
+            _require_finite_order(matrix, names, tree, entry)
+        if len(elements) >= cap:
+            raise ClosureCapError(cap)
+        elements.append(matrix)
 
-    def row_ids(matrix):
-        return tuple(row_id(tuple((x.nums, x.den) for x in row)) for row in matrix)
-
-    add(row_ids(linalg.identity(field, n)), (0, None, 0), False)
-    generator_indices = tuple(add(row_ids(g), (0, k, 1), True)
-                              for k, g in enumerate(generators))
-    short = max(generator_indices)  # scanning p <= short adds the words of length 2
-    right = [[] for _ in generators]
-    # `ids_of` grows during the scan, so this visits elements in
-    # breadth-first order and right[k][p] is filled for every p.
-    for p, ids in enumerate(ids_of):
-        j, last, m = tree[p]
-        for k in range(len(generators)):
-            entry = (j, k, m + 1) if k == last else (p, k, 1)
-            ids_k = tuple(map(images[k].__getitem__, ids))
-            right[k].append(add(ids_k, entry, p <= short))
-
-    in_sl = all(d == 1 for d in determinants)
+    steps = [lambda ids, get=image_table(g).__getitem__: tuple(map(get, ids))
+             for g in generators]
+    keys = [row_ids(g) for g in (linalg.identity(field, n), *generators)]
+    _, tree, right, generator_indices = _scan(keys, steps, admit)
+    if inverse:  # the p with right[k][p] == q is q times generator k's inverse
+        steps = [sorted(range(len(row)), key=row.__getitem__).__getitem__
+                 for row in right]
+        order, tree, right, generator_indices = _scan(
+            [0] + [step(0) for step in steps], steps, lambda *args: None)
+        elements = [elements[i] for i in order]
     return MatrixGroup(n, field, elements, generator_indices, list(names),
-                       right, tree, in_sl)
+                       right, tree, all(d == 1 for d in determinants))

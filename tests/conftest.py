@@ -1,8 +1,11 @@
 import pathlib
+from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 from mckay.cyclo import CycNum
 from mckay.groupfile import parse_group_file
-from mckay.linalg import RightMultiplier, row_terms
+from mckay.linalg import RightMultiplier, identity, row_terms
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parents[1] / "groups"
 
@@ -36,6 +39,67 @@ def mat_mul(a, b):
         out.append(tuple(CycNum(field, *pair) for pair in product))
         assert tuple((x.nums, x.den) for x in out[-1]) == product
     return tuple(out)
+
+
+def inverse(x):
+    """x^-1 as the product of the Galois conjugates of x other than x,
+    over its norm, the rational product of all of them: CycNum products
+    only, since the package has no field inverse."""
+    if not x:
+        raise ZeroDivisionError("inverse of zero cyclotomic number")
+    field, others = x.field, x.field.one()
+    for a in range(2, field.order):
+        if gcd(a, field.order) == 1:
+            others = others * field.element(
+                {a * k: c for k, c in enumerate(x.nums)}, x.den)
+    return others * (1 / Fraction((x * others).as_rational()))
+
+
+def oracle_det(a):
+    """Leibniz formula: the sum over permutations, no division."""
+    n = len(a)
+    total = a[0][0].field.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = a[0][0].field.one() if inversions % 2 == 0 else -a[0][0].field.one()
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
+def oracle_rref(a):
+    """Gauss-Jordan that inverts every pivot by `inverse`: the reduced row
+    echelon form and its pivot columns."""
+    rows = [list(row) for row in a]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = inverse(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def oracle_mat_inv(a):
+    """The inverse of an invertible matrix: `oracle_rref` of [a | I]."""
+    n = len(a)
+    echelon, pivots = oracle_rref(tuple(
+        row + e for row, e in zip(a, identity(a[0][0].field, n))))
+    assert pivots[:n] == tuple(range(n)), "matrix is singular"
+    return tuple(row[n:] for row in echelon)
 
 
 def closed_group(name):

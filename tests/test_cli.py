@@ -148,12 +148,16 @@ def test_toric_max_order_cap_matches_closure(capsys):
 
 
 def test_choice_inverse_rejects_a_singular_generator(capsys, tmp_path):
+    # the determinant's image mod the split prime is 0, which no root of
+    # unity maps to; it does not tell a singular generator from one of
+    # infinite order
     path = tmp_path / "singular.grp"
     path.write_text("format matrix\ndimension 2\ncyclotomic_order 4\n"
                     "generator A\n1, 0\n0, 0\n")
     for choice in ("standard", "inverse"):
         assert run(capsys, "info", str(path), "--choice", choice) == \
-            (3, "", "error: non-invertible generator\n")
+            (3, "", "error: generator A is singular or of infinite order: its "
+             "determinant is not a root of unity\n")
 
 
 def test_toric_requires_diagonal_format(capsys):
@@ -206,11 +210,15 @@ def test_wrong_dimension_is_refused_before_the_closure(
 
 
 @pytest.mark.parametrize("command, name, message", WRONG_DIMENSION)
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
 def test_wrong_dimension_takes_precedence_over_the_closure_cap(
-        capsys, command, name, message):
+        capsys, command, name, message, choice):
+    # under `--choice inverse` too: the matrix generators are inverted
+    # when the group is closed, after the dimension check
     path = str(group_path(name))
-    assert run(capsys, "info", path, "--max-order", "2")[0] == 4
-    code, out, err = run(capsys, *command, path, "--max-order", "2")
+    cap = ["--max-order", "2", "--choice", choice]
+    assert run(capsys, "info", path, *cap)[0] == 4
+    code, out, err = run(capsys, *command, path, *cap)
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
@@ -438,8 +446,8 @@ def test_superscript_digit_is_a_parse_error(capsys, tmp_path, entry, col, reason
 def dense_pivot_text(seed=1, terms=12):
     """A group file for P diag(z, z^-1) P^-1 in SL(2, Q(zeta_97)), of order
     97, with P = [[1, u], [v, 1 + uv]] for sparse random u and v with
-    coefficients in [-2, 2].  Its entries are dense, and so is the pivot
-    that `det` inverts."""
+    coefficients in [-2, 2].  Its entries are dense, and so was the pivot
+    that an exact elimination inverted for its determinant."""
     field = cyclotomic_field(97)
     rng = random.Random(seed)
     u, v = (field.element({rng.randrange(97): rng.choice((-2, -1, 1, 2))
@@ -453,8 +461,8 @@ def dense_pivot_text(seed=1, terms=12):
 
 @pytest.mark.parametrize("choice", ["standard", "inverse"])
 def test_dense_pivot_in_a_large_field_inverts_fast(capsys, tmp_path, choice):
-    # the rational Euclid took 13 s for the pivot of `det`, and the run
-    # under `--choice inverse` 60 s
+    # nothing inverts a field element: the determinant is taken modulo a
+    # split prime, and the inverse generators are read off the closure
     path = tmp_path / "dense97.grp"
     path.write_text(dense_pivot_text())
     start = time.perf_counter()
@@ -569,9 +577,10 @@ def test_probe_below_1_is_refused_at_parse_time(capsys, name, probe):
     # the infinite dihedral group: its generators have the trace 0, and
     # their product is diag(1/2, 2)
     ("A\n0, 1\n1, 0\ngenerator B\n0, 2\n1/2, 0\n", "element A*B", "5/2"),
-    ("A\n0, 2\n1, 0\n", "element A^2", "4"),  # the trace of A is 0, A^2 = 2I
+    # the trace of A is 1 and its determinant -1, A^2 = [[2, 1], [1, 1]]
+    ("A\n1, 1\n1, 0\n", "element A^2", "3"),
 ], ids=["diag(1/2,2)", "[[0,-1],[1,1/2]]", "[[2,1],[1,1]]", "infinite dihedral",
-        "[[0,2],[1,0]]"])
+        "[[1,1],[1,0]]"])
 def test_generator_of_infinite_order_fails_fast(capsys, tmp_path, generators,
                                                 word, trace):
     # the trace of an element of finite order is a sum of n roots of unity,
@@ -587,6 +596,32 @@ def test_generator_of_infinite_order_fails_fast(capsys, tmp_path, generators,
     assert (code, out) == (3, "")
     assert err == (f"error: {word} has infinite order: its trace {trace} "
                    "is not a sum of 2 roots of unity\n")
+
+
+GOLDEN = "-1*z^2 - z^3"  # 1 + zeta_5 + zeta_5^4, the golden ratio
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("order, dimension, rows", [
+    # the golden-ratio unit: every power is an algebraic integer that is
+    # not rational, so every word passes the trace test; the closure ran
+    # to the default cap (exit 4 after 10.4 s, 1.49 GB)
+    (5, 1, GOLDEN),
+    (5, 2, f"{GOLDEN}, 0\n0, 1"),
+    (1, 2, "0, 2\n1, 0"),  # the determinant -2; A^2 = 2I
+    (6, 2, "1/2 + 1/2*z, 0\n0, 1"),  # the determinant has absolute value 3^(1/2)
+], ids=["golden 1x1", "diag(golden,1)", "[[0,2],[1,0]]", "diag((1+z6)/2,1)"])
+def test_determinant_not_a_root_of_unity_fails_fast(capsys, tmp_path, choice,
+                                                    order, dimension, rows):
+    path = tmp_path / "infinite.grp"
+    path.write_text(f"format matrix\ndimension {dimension}\ncyclotomic_order "
+                    f"{order}\ngenerator A\n{rows}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", str(path), "--choice", choice)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", "error: generator A is singular or of "
+                                "infinite order: its determinant is not a root "
+                                "of unity\n")
 
 
 def test_output_is_sorted_and_stable(capsys):

@@ -12,13 +12,14 @@ from mckay import cyclo, linalg
 from mckay.age import eigen_exponents, grade
 from mckay.cyclo import cyclotomic_field
 from mckay.errors import ClosureCapError, InternalInvariantError, RequirementError
-from mckay.groupfile import parse_group_file
+from mckay.groupfile import GroupFile, parse_group_file
 from mckay.matgroup import MatrixGroup, close_group
 from mckay.quiver import fold
 from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import monomial_valuation, ram_group, stab_group
 
-from conftest import CORPUS, closed_group, group_path, mat_mul
+from conftest import (CORPUS, closed_group, group_path, mat_mul, oracle_det,
+                      oracle_mat_inv)
 from test_linalg import oracle_mat_mul
 from test_valuation import embed
 
@@ -26,6 +27,9 @@ def mul(group, i, j):
     """The index of elements[i] * elements[j]: i times the runs of j."""
     return group.times(i, group.runs(j))
 
+
+MATRIX_FILES = [name for name in CORPUS
+                if "format matrix" in group_path(name).read_text()]
 
 EXPECTED_ORDERS = {
     "bd8": (8, 5),
@@ -183,7 +187,7 @@ def oracle_close_group(generators, cap=100_000):
         while j and word[j - 1] == word[-1]:
             j -= 1
         tree.append((index_of_word[word[:j]], word[-1], len(word) - j))
-    in_sl = all(linalg.det(g) == 1 for g in generators)
+    in_sl = all(oracle_det(g) == 1 for g in generators)
     return (MatrixGroup(n, field, elements, generator_indices, names, right,
                         tree, in_sl), words)
 
@@ -222,13 +226,50 @@ def assert_closure_matches_oracle(generators, names=None):
     return group
 
 
+def inverted_generators(gf):
+    """The generators a file closes on: under `--choice inverse`, a matrix
+    file's generators inverted by the test-side oracle."""
+    if gf.inverse:
+        return [oracle_mat_inv(g) for g in gf.matrices()]
+    return gf.matrices()
+
+
 @pytest.mark.parametrize("choice", ["standard", "inverse"])
 @pytest.mark.parametrize("name", CORPUS)
 def test_closure_matches_matrix_product_oracle_on_corpus(name, choice):
     gf = parse_group_file(group_path(name))
     if choice == "inverse":
         gf = gf.inverted()
-    assert_closure_matches_oracle(gf.matrices(), gf.generator_names)
+    assert_closure_matches_oracle(inverted_generators(gf), gf.generator_names)
+
+
+def _repeated_generators():
+    """Generators that collapse in the scan: a repeated one, the identity,
+    and one whose inverse is another generator."""
+    f4 = cyclotomic_field(4)
+    z, zero = f4.zeta(), f4.zero()
+    g = ((z, zero), (zero, f4.zeta(3)))
+    h = ((zero, f4.one()), (-f4.one(), zero))
+    return [g, linalg.identity(f4, 2), g, h, ((f4.zeta(3), zero), (zero, z))]
+
+
+@pytest.mark.parametrize("name", MATRIX_FILES + ["repeated"])
+def test_choice_inverse_equals_the_closure_of_the_inverted_matrices(name):
+    # the inverse tables of the file's own closure, scanned again, give the
+    # group that closing the inverted matrices gives
+    if name == "repeated":
+        generators = _repeated_generators()
+        gf = GroupFile("matrix", 2, 4, ["A", "I", "B", "C", "D"], generators, [], True)
+    else:
+        gf = parse_group_file(group_path(name)).inverted()
+    group = gf.close()
+    oracle = close_group(inverted_generators(gf), names=gf.generator_names)
+    assert group.elements == oracle.elements
+    assert group._tree == oracle._tree
+    assert group._right == oracle._right
+    assert group.generator_indices == oracle.generator_indices
+    assert group.in_sl == oracle.in_sl
+    assert group.generator_names == oracle.generator_names
 
 
 def test_closure_record_is_linear_in_the_order():
@@ -245,6 +286,51 @@ def test_closure_record_is_linear_in_the_order():
         tracemalloc.stop()
     assert len(group) == 10_000
     assert retained < 8_000_000
+
+
+def test_closure_of_a_high_dimensional_generator_shares_its_zero_entries():
+    # the dimension family: one order-3 generator (1/3)(1, 2, 0, ..., 0).
+    # Each zero entry of an integer row is the field's one zero pair; a
+    # fresh (nums, 1) pair per zero entry peaked at 89 MB here
+    n = 1000
+    generators = DiagonalGroupSpec(n, ((3, (1, 2) + (0,) * (n - 2)),)).matrices()
+    tracemalloc.start()
+    try:
+        group = close_group(generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 3
+    assert peak < 50_000_000
+    assert cyclo._dot(group.field, []) is group.field._zero_pair  # an empty sum
+
+
+def test_determinant_off_sl_still_closes():
+    # diag(zeta, 1) has the determinant zeta, a root of unity but not 1
+    f5 = cyclotomic_field(5)
+    one, zero = f5.one(), f5.zero()
+    group = close_group([((f5.zeta(), zero), (zero, one))])
+    assert (len(group), group.in_sl) == (5, False)
+    assert close_group([((f5.zeta(), zero), (zero, f5.zeta(4)))]).in_sl
+
+
+def test_a_denominator_divisible_by_the_split_prime_takes_the_next(monkeypatch):
+    # [[-1, 1/P], [0, 1]] has order 2; its entry 1/P has no image mod P
+    prime, omega = cyclo.split_prime(1)
+    f1 = cyclotomic_field(1)
+    g = ((-f1.one(), f1.from_rational(Fraction(1, prime))), (f1.zero(), f1.one()))
+    with pytest.raises(ValueError):
+        linalg.det_image(g, prime, omega)
+    primes, det_image = [], linalg.det_image
+
+    def recorded(a, p, w):
+        primes.append(p)
+        return det_image(a, p, w)
+
+    monkeypatch.setattr(linalg, "det_image", recorded)
+    group = close_group([g])
+    assert primes == [prime, cyclo.split_prime(1, prime)[0]]
+    assert (len(group), group.in_sl) == (2, False)
 
 
 def reference_structure(group):
@@ -329,8 +415,13 @@ def test_inverted_file_inverts_only_the_generators(name):
     assert (inverted.format, inverted.dimension, inverted.cyclotomic_order,
             inverted.generator_names) == \
         (gf.format, gf.dimension, gf.cyclotomic_order, gf.generator_names)
+    assert inverted.inverse == (gf.format == "matrix")
+    assert not inverted.inverted().inverse
     for g, h in zip(gf.matrices(), inverted.matrices(), strict=True):
-        assert mat_mul(g, h) == linalg.identity(g[0][0].field, gf.dimension)
+        if gf.format == "matrix":  # inverted when the group is closed
+            assert h is g
+        else:
+            assert mat_mul(g, h) == linalg.identity(g[0][0].field, gf.dimension)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -478,7 +569,7 @@ def test_closure_rejects_bad_generators():
 def test_duplicate_generators_collapse():
     f4 = cyclotomic_field(4)
     z, zero = f4.zeta(), f4.zero()
-    g = ((z, zero), (zero, z.inverse()))
+    g = ((z, zero), (zero, f4.zeta(3)))
     group = close_group([g, g], names=["A", "B"])
     assert len(group) == 4
     assert group.generator_indices[0] == group.generator_indices[1]
