@@ -10,8 +10,8 @@ numerators over a common denominator, products convolve the numerators and
 reduce through the field's table of powers of zeta; nothing divides.  One
 kernel, `_dot`, does that convolution and reduction and returns the normal
 form (nums, den): `CycNum.__mul__` wraps it, and the row kernel of `linalg`
-uses it on the integer rows of a closure, reducing each entry's sum of
-products once.  `fractions.Fraction` appears only at the boundaries:
+uses it on the sparse integer rows of a closure, reducing each entry's sum
+of products once.  `fractions.Fraction` appears only at the boundaries:
 building elements from rational coefficients, reading them back
 (`as_rational`, `to_literal`), and hashing a rational element.
 
@@ -105,8 +105,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 class CyclotomicField:
     """The field Q(zeta_R); immutable, one shared instance per order."""
 
-    __slots__ = ("order", "degree", "min_poly", "_power_table", "_zero",
-                 "_zero_pair", "_one")
+    __slots__ = ("order", "degree", "min_poly", "_power_table", "_zero", "_one")
 
     def __init__(self, order: int):
         self.order = order
@@ -127,7 +126,6 @@ class CyclotomicField:
                     rep[i] -= top * self.min_poly[i]
         self._power_table = table
         self._zero = CycNum(self, (0,) * self.degree)
-        self._zero_pair = (self._zero.nums, 1)  # shared by every zero entry of a row
         self._one = self.element({0: 1})
 
     def zero(self) -> "CycNum":
@@ -206,12 +204,10 @@ def _terms(nums: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _dot(field: CyclotomicField, pairs) -> tuple[tuple[int, ...], int]:
-    """The normal form (nums, den) of the sum of x*y over `pairs` of
-    (x.den * y.den, terms of x, terms of y): every product over the lcm of
-    the denominators, one convolution buffer, one reduction modulo Phi_R
-    through the power table, one division by gcd(den, *nums)."""
-    if not pairs:
-        return field._zero_pair
+    """The normal form (nums, den) of the sum of x*y over the nonempty
+    `pairs` of (x.den * y.den, terms of x, terms of y): every product over
+    the lcm of the denominators, one convolution buffer, one reduction
+    modulo Phi_R through the power table, one division by gcd(den, *nums)."""
     den = pairs[0][0] if len(pairs) == 1 else lcm(*(d for d, _, _ in pairs))
     deg = field.degree
     conv = [0] * (2 * deg - 1)

@@ -49,7 +49,7 @@ class GroupFile(Record):
         self.dimension = dimension
         self.cyclotomic_order = cyclotomic_order
         self.generator_names = generator_names
-        self.matrix_generators = matrix_generators  # CycNum matrices (matrix fmt)
+        self.matrix_generators = matrix_generators  # sparse rows (matrix fmt)
         self.diagonal_generators = diagonal_generators  # (r, exponents)
         self.inverse = inverse  # close on the inverses of `matrix_generators`
 
@@ -75,8 +75,8 @@ class GroupFile(Record):
                          self.format == "matrix" and not self.inverse)
 
     def close(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
-        return close_group(self.matrices(), cap=cap, names=self.generator_names,
-                           inverse=self.inverse)
+        return close_group(cyclotomic_field(self.cyclotomic_order), self.matrices(),
+                           cap=cap, names=self.generator_names, inverse=self.inverse)
 
 
 def _tokens(text: str):
@@ -174,13 +174,15 @@ def parse_group_text(text: str) -> GroupFile:
                     )
                 row = []
                 offset = 0
-                for cell in cells:
+                for column, cell in enumerate(cells):
                     try:
-                        row.append(parse_literal(cell, field))
+                        x = parse_literal(cell, field)
                     except LiteralSyntaxError as err:
                         raise GroupFileError(
                             err.reason, row_lineno, offset + err.position + 1
                         ) from None
+                    if x:
+                        row.append((column, x.nums, x.den))
                     offset += len(cell) + 1
                 rows.append(tuple(row))
             matrix_generators.append(tuple(rows))

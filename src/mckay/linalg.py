@@ -1,90 +1,92 @@
-"""Exact dense linear algebra over a cyclotomic field, without division.
+"""Exact sparse linear algebra over a cyclotomic field, without division.
 
-Matrices are tuples of row tuples of CycNum.  An integer row is the tuple
-of the normal forms (nums, den) of its entries.  The closure's kernel
-`RightMultiplier` maps an integer row to its product with a fixed matrix,
-one call of the integer kernel `cyclo._dot` per entry; the matrix's
-numerator terms are taken once, and the row's are passed in by the
-caller.  The one computation that divides, the determinant, runs modulo a
-split prime of the field (`cyclo.split_prime`), on integers: `det_image`.
+A row is the tuple of its nonzero entries (column, nums, den), sorted by
+column, each the normal form of a field element; a matrix is a tuple of
+rows, which carry no field.  The closure's kernel `RightMultiplier` maps
+a row to its product with a fixed matrix, one call of the integer kernel
+`cyclo._dot` per nonzero output entry.  The determinant, the one
+computation that divides, runs modulo a split prime of the field
+(`cyclo.split_prime`), on integers: `det_image`.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from collections import Counter, defaultdict
+from operator import itemgetter, mul
 
-from .cyclo import CyclotomicField, CycNum, _dot, _terms
-
-Matrix = tuple[tuple[CycNum, ...], ...]
-IntRow = tuple[tuple[tuple[int, ...], int], ...]
-
-
-def identity(field: CyclotomicField, n: int) -> Matrix:
-    one, zero = field.one(), field.zero()
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def row_terms(row: IntRow) -> list:
-    """Each entry (nums, den) of an integer row as (den, numerator terms),
-    or None for zero: the left operand of `RightMultiplier`."""
-    return [(den, _terms(nums)) if any(nums) else None for nums, den in row]
+from .cyclo import _dot, _terms
 
 
 class RightMultiplier:
-    """The kernel row -> row * b for a fixed matrix b, on integer rows.
-    Each column of b is kept as its nonzero entries (row, denominator,
-    numerator terms), or, if its only nonzero entry is 1, as that row's
-    index: the product then copies the entry's pair."""
+    """The kernel row -> row * b for a fixed matrix b, on sparse rows.
+    Row k of b is kept as its entries (column, den, numerator terms), or
+    (column, None, None) for an entry 1 that is the only nonzero entry of
+    its column: the product then copies the left entry's pair there."""
 
-    __slots__ = ("field", "columns")
+    __slots__ = ("field", "rows")
 
-    def __init__(self, b: Matrix):
-        self.field = b[0][0].field
-        columns = []
-        for column in zip(*b):
-            nonzero = [(k, y) for k, y in enumerate(column) if y]
-            if len(nonzero) == 1 and nonzero[0][1] == 1:
-                columns.append(nonzero[0][0])
-            else:
-                columns.append(tuple((k, y.den, _terms(y.nums)) for k, y in nonzero))
-        self.columns = tuple(columns)
+    def __init__(self, field, b):
+        self.field = field
+        one = field.one().nums
+        in_column = Counter(j for row in b for j, _, _ in row)
+        self.rows = tuple(
+            tuple((j, None, None) if in_column[j] == 1 and den == 1 and nums == one
+                  else (j, den, _terms(nums)) for j, nums, den in row)
+            for row in b)
 
-    def __call__(self, row: IntRow, left: list) -> IntRow:
-        """The integer row `row` * b, given `left = row_terms(row)`."""
-        field = self.field
-        return tuple(
-            row[column] if column.__class__ is int else
-            _dot(field, [(left[k][0] * den, left[k][1], right)
-                         for k, den, right in column if left[k]])
-            for column in self.columns
-        )
+    def __call__(self, row, left):
+        """`row` * b, the sum of x * (row k of b) over the entries x of `row`
+        at columns k, given `left`, those entries as (den, numerator terms)."""
+        field, out, sums = self.field, [], defaultdict(list)
+        for (k, nums, den), (dx, terms) in zip(row, left):
+            for j, d, right in self.rows[k]:
+                if right is None:
+                    out.append((j, nums, den))
+                else:
+                    sums[j].append((dx * d, terms, right))
+        for j, pairs in sums.items():
+            nums, den = _dot(field, pairs)
+            if any(nums):
+                out.append((j, nums, den))
+        out.sort(key=itemgetter(0))
+        return tuple(out)
 
 
-def trace(a: Matrix) -> CycNum:
-    return sum((a[i][i] for i in range(len(a))), a[0][0].field.zero())
-
-
-def det_image(a: Matrix, prime: int, omega: int) -> int:
+def det_image(field, a, prime: int, omega: int) -> int:
     """The image of det(a) in F_prime under zeta -> omega, by Gaussian
-    elimination mod `prime`: no field element is inverted.  Raises
-    ValueError if `prime` divides the denominator of an entry."""
-    powers = [pow(omega, k, prime) for k in range(a[0][0].field.degree)]
-    rows = [[sum(map(mul, x.nums, powers)) * pow(x.den, -1, prime) % prime
-             if any(x.nums) else 0 for x in row] for row in a]
-    result = 1
-    for c in range(len(rows)):
-        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if p is None:
+    elimination mod `prime` on the sparse rows of `a`: no field element is
+    inverted.  `holders[c]` is the set of rows not yet pivoted with a
+    nonzero entry in column c, so pivot search and elimination visit only
+    those; an entry that becomes 0 may stay in its row's dict.  `prime`
+    must divide no denominator."""
+    powers = [pow(omega, k, prime) for k in range(field.degree)]
+    rows = [{j: sum(map(mul, nums, powers)) * pow(den, -1, prime) % prime
+             for j, nums, den in row} for row in a]
+    holders = [set() for _ in a]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x:
+                holders[j].add(i)
+    result, pivot_rows = 1, []
+    for c, held in enumerate(holders):
+        if not held:
             return 0
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            result = -result
-        pivot = rows[c]
+        p = min(held)
+        pivot = rows[p]
+        for j in pivot:
+            holders[j].discard(p)
+        pivot_rows.append(p)
         result = result * pivot[c] % prime
-        for row in rows[c + 1:]:
-            if row[c]:
-                f = row[c] * pow(pivot[c], -1, prime) % prime
-                row[c:] = [(x - f * y) % prime for x, y in zip(row[c:], pivot[c:])]
+        inverse = pow(pivot[c], -1, prime)
+        for i in list(held):
+            row = rows[i]
+            f = row[c] * inverse % prime
+            for j, y in pivot.items():
+                x = row[j] = (row.get(j, 0) - f * y) % prime
+                (holders[j].add if x else holders[j].discard)(i)
+    for c in range(len(a)):  # the sign of c -> pivot_rows[c], a swap at a time
+        while pivot_rows[c] != c:
+            p = pivot_rows[c]
+            pivot_rows[c], pivot_rows[p] = pivot_rows[p], p
+            result = -result
     return result % prime

@@ -6,22 +6,22 @@ row i of M*g is (row i of M)*g, and the elements of a group share few rows
 multiplied by each generator once and an element is the tuple of its row
 ids.  This is the orbit method of Holt, Eick and O'Brien (Handbook of
 Computational Group Theory, 2005, 4.1): act on a small orbit, not on the
-group.  The closure keeps a row as the integer normal forms (nums, den)
-of its entries, so rows dedupe on tuples of integers, and it builds one
-row of CycNum per distinct row.  After closure, every group operation
-works on element indices.  Each element keeps one entry of a Schreier
-tree with run lengths (ibid.): elements[i] = elements[j] * g_k^m, where
-the word of elements[j] does not end in g_k.  Products follow the runs
-(k, m) of the breadth-first word, read by walking the tree, through the
-right-multiplication table.
+group.  The closure keeps a row sparse, as its nonzero entries
+(column, nums, den) in integer normal form (`linalg`), so rows dedupe on
+tuples of integers and a diagonal row of any dimension is one entry.
+After closure, every group operation works on element indices.  Each
+element keeps one entry of a Schreier tree with run lengths (ibid.):
+elements[i] = elements[j] * g_k^m, where the word of elements[j] does not
+end in g_k.  Products follow the runs (k, m) of the breadth-first word,
+read by walking the tree, through the right-multiplication table.
 Powers come from one walk x^0, x^1, ..., x^(r-1) per cyclic subgroup <x>
 not reached by an earlier walk: an element found as x^k in a walk of
 length r has order r/gcd(r, k), and its powers, its inverse and its cyclic
 subgroup are read off that walk.  Conjugacy classes are orbits under
 conjugation by the generators, g^-1 x g = (x^-1 g)^-1 g from the table;
 the maximal cyclic subgroups are the walks that no other walk contains.
-An element is its matrix; its order, inverse, class and trace are kept by
-the group.
+An element is the tuple of its row ids into the group's one list of
+distinct rows; its order, inverse, class and trace are kept by the group.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import Counter
 from math import gcd, lcm
 
 from . import linalg
-from .cyclo import CycNum, split_prime
+from .cyclo import CycNum, _terms, split_prime
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
 
 DEFAULT_CAP = 100_000
@@ -65,7 +65,8 @@ class MatrixGroup:
     """A closed finite matrix group; immutable once constructed, but for
     the traces and walk exponents it keeps once computed.
 
-    `elements[i]` is the matrix of element i, a tuple of row tuples.
+    `elements[i]` is element i as the tuple of its row ids: its row k is
+    `rows[elements[i][k]]`, a sparse row of `linalg`.
     `right[k][i]` is the index of elements[i] * generator k, as recorded by
     the closure; products and classes are read from it.  `_tree[i]` is the
     tree entry (j, k, m) of elements[i], (0, None, 0) for the identity, and
@@ -78,10 +79,11 @@ class MatrixGroup:
     eigenvalue exponents that `age.eigen_exponents` reads off the walk.
     """
 
-    def __init__(self, dimension, field, elements, generator_indices,
+    def __init__(self, dimension, field, rows, elements, generator_indices,
                  generator_names, right, tree, in_sl):
         self.dimension = dimension
         self.field = field
+        self.rows = rows
         self.elements = elements
         self.generator_indices = generator_indices
         self.generator_names = generator_names
@@ -145,7 +147,7 @@ class MatrixGroup:
         """The trace of elements[i], computed on first use and kept."""
         t = self._traces[i]
         if t is None:
-            t = self._traces[i] = linalg.trace(self.elements[i])
+            t = self._traces[i] = _trace(self.field, self.rows, self.elements[i])
         return t
 
     def element_name(self, i: int) -> str:
@@ -225,12 +227,18 @@ class _Lazy(dict):
         return value
 
 
-def _require_finite_order(matrix, names, tree, entry):
+def _trace(field, rows, ids):
+    """The sum of entry i of row i over the rows `ids` of an element."""
+    return sum((CycNum(field, nums, den) for i, r in enumerate(ids)
+                for j, nums, den in rows[r] if j == i), field.zero())
+
+
+def _require_finite_order(field, rows, ids, names, tree, entry):
     """The trace of a matrix of finite order is a sum of n roots of unity:
     integral in the power basis of Z[zeta_N] and, when rational, at most n
     in absolute value.  Otherwise the word of length 1 or 2 of the tree
     `entry` (j, k, m) is named: g_k^m after the one letter of element j."""
-    n, t = len(matrix), linalg.trace(matrix)
+    n, t = len(ids), _trace(field, rows, ids)
     q = t.as_rational()
     if t.den != 1 or (q is not None and abs(q) > n):
         j, k, m = entry
@@ -272,28 +280,28 @@ def _scan(keys, steps, admit):
     return found, tree, right, generator_indices
 
 
-def close_group(generators, cap: int = DEFAULT_CAP, names=None,
+def close_group(field, generators, cap: int = DEFAULT_CAP, names=None,
                 inverse: bool = False) -> MatrixGroup:
     """Breadth-first closure of a generator list under multiplication, or,
-    if `inverse`, of the list of their inverses.
+    if `inverse`, of the list of their inverses.  A generator is a tuple
+    of n sparse rows over `field` (`linalg`): its nonzero entries (column,
+    nums, den), sorted by column, each in the field's normal form.
 
     Each generator's determinant is first mapped into F_P by
-    `linalg.det_image`, P the field's split prime (the next one if P
-    divides a denominator).  A generator of finite order has its
-    determinant in mu_M, M = lcm(2, R), which maps injectively into F_P^*:
-    an image outside it, zero included, refuses the generator as singular
-    or of infinite order.  Once the closure succeeds, `in_sl` (every image
+    `linalg.det_image`, P the field's first split prime that divides no
+    denominator.  A generator of finite order has its determinant in
+    mu_M, M = lcm(2, R), which maps injectively into F_P^*: an image
+    outside it, zero included, refuses the generator as singular or of
+    infinite order.  Once the closure succeeds, `in_sl` (every image
     is 1) is exact.
 
-    `_scan` keys an element by its row ids.  A row is met as its integer
-    form, the normal forms (nums, den) of its entries, zero entries sharing
-    the field's zero pair, and `row_of` dedupes it on those integers.
-    `rows` holds one tuple of CycNum per distinct row, shared by the
-    elements' matrices.  `images[k][r]`, the id of row r times generator k,
-    is computed on first lookup by `linalg.RightMultiplier`, so the field
-    work is (distinct rows) x (generators) row products.  Raises
-    ClosureCapError past `cap` elements, and RequirementError for a word
-    of length 1 or 2 that fails the trace test of `_require_finite_order`.
+    `_scan` keys an element by its row ids.  `rows` holds each distinct
+    row once, and `row_of` dedupes a row on its integers.  `images[k][r]`,
+    the id of row r times generator k, is computed on first lookup by
+    `linalg.RightMultiplier`, so the field work is (distinct rows) x
+    (generators) row products.  Raises ClosureCapError past `cap`
+    elements, and RequirementError for a word of length 1 or 2 that fails
+    the trace test of `_require_finite_order`.
 
     Under `inverse`, each table right[k] of the closed group is a
     permutation, whose inverse is right multiplication by the inverse of
@@ -304,68 +312,59 @@ def close_group(generators, cap: int = DEFAULT_CAP, names=None,
     if not generators:
         raise RequirementError("at least one generator is required")
     n = len(generators[0])
-    field = generators[0][0][0].field
     for g in generators:
-        if len(g) != n or any(len(row) != n for row in g):
-            raise RequirementError("generators must be square matrices of equal size")
-        if any(x.field is not field for row in g for x in row):
-            raise RequirementError("generators must share one cyclotomic field")
+        if len(g) != n or any([j for j, _, _ in row] != sorted(
+                {j for j, _, _ in row if 0 <= j < n}) for row in g):
+            raise RequirementError("generators must be square matrices of equal "
+                                   "size, as rows of entries sorted by column")
+        if any(len(nums) != field.degree or den < 1 or not any(nums)
+               or gcd(den, *nums) != 1 for row in g for _, nums, den in row):
+            raise RequirementError(f"generators must share one cyclotomic field: "
+                                   f"every entry a nonzero normal form of {field}")
     if names is None:
         names = [f"g{i + 1}" for i in range(len(generators))]
     prime, omega = split_prime(field.order)
-    while True:
-        try:
-            determinants = [linalg.det_image(g, prime, omega) for g in generators]
-            break
-        except ValueError:  # the prime divides a denominator
-            prime, omega = split_prime(field.order, prime)
+    while any(den % prime == 0 for g in generators for row in g for _, _, den in row):
+        prime, omega = split_prime(field.order, prime)
+    determinants = [linalg.det_image(field, g, prime, omega) for g in generators]
     for name, d in zip(names, determinants):
         if pow(d, lcm(2, field.order), prime) != 1:
             raise RequirementError(f"generator {name} is singular or of infinite "
                                    "order: its determinant is not a root of unity")
 
-    zero, zero_pair = field.zero(), field._zero_pair
-    rows = []  # the distinct rows, as tuples of CycNum shared by the elements
-    operands = []  # operands[r]: rows[r] as an integer row, and its kernel terms
-    row_of = {}  # integer row -> id
+    rows = []  # the distinct rows, shared by the elements
+    operands = []  # operands[r]: the entries of rows[r] as kernel terms
+    row_of = {}  # row -> id
 
     def row_id(row):
         r = row_of.setdefault(row, len(rows))  # hashes the long row once
         if r == len(rows):
-            left = linalg.row_terms(row)
-            rows.append(tuple(CycNum(field, *pair) if t else zero
-                              for pair, t in zip(row, left)))
-            operands.append((row, left))
+            rows.append(row)
+            operands.append([(den, _terms(nums)) for _, nums, den in row])
         return r
 
     def image_table(g):
         """The dict r -> id of rows[r] * g, each entry computed on first use."""
-        times = linalg.RightMultiplier(g)
-        return _Lazy(lambda r: row_id(times(*operands[r])))
-
-    def row_ids(matrix):
-        return tuple(row_id(tuple((x.nums, x.den) if any(x.nums) else zero_pair
-                                  for x in row)) for row in matrix)
-
-    elements = []
+        times = linalg.RightMultiplier(field, g)
+        return _Lazy(lambda r: row_id(times(rows[r], operands[r])))
 
     def admit(ids, entry, tree, check):
-        matrix = tuple(rows[r] for r in ids)
         if check:
-            _require_finite_order(matrix, names, tree, entry)
-        if len(elements) >= cap:
+            _require_finite_order(field, rows, ids, names, tree, entry)
+        if len(tree) >= cap:
             raise ClosureCapError(cap)
-        elements.append(matrix)
 
+    one = field.one().nums
     steps = [lambda ids, get=image_table(g).__getitem__: tuple(map(get, ids))
              for g in generators]
-    keys = [row_ids(g) for g in (linalg.identity(field, n), *generators)]
-    _, tree, right, generator_indices = _scan(keys, steps, admit)
+    keys = [tuple(map(row_id, g))
+            for g in ([((i, one, 1),) for i in range(n)], *generators)]
+    elements, tree, right, generator_indices = _scan(keys, steps, admit)
     if inverse:  # the p with right[k][p] == q is q times generator k's inverse
         steps = [sorted(range(len(row)), key=row.__getitem__).__getitem__
                  for row in right]
         order, tree, right, generator_indices = _scan(
             [0] + [step(0) for step in steps], steps, lambda *args: None)
         elements = [elements[i] for i in order]
-    return MatrixGroup(n, field, elements, generator_indices, list(names),
+    return MatrixGroup(n, field, rows, elements, generator_indices, list(names),
                        right, tree, all(d == 1 for d in determinants))

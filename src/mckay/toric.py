@@ -82,12 +82,11 @@ class DiagonalGroupSpec(Record):
         return out
 
     def matrices(self):
-        """The generators as diagonal matrices over Q(zeta_L)."""
+        """The generators over Q(zeta_L) as diagonal sparse rows (`linalg`)."""
         L, vectors = self.exponent_vectors()
         field = cyclotomic_field(L)
-        return [tuple(tuple(field.zeta(v[i]) if i == j else field.zero()
-                            for j in range(self.n)) for i in range(self.n))
-                for v in vectors]
+        nums = {a: field.zeta(a).nums for v in vectors for a in v}
+        return [tuple(((i, nums[a], 1),) for i, a in enumerate(v)) for v in vectors]
 
 
 class BoxPoint(Record):

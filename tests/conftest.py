@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
-from mckay.cyclo import CycNum
+from mckay.cyclo import CycNum, _terms, cyclotomic_field
 from mckay.groupfile import parse_group_file
-from mckay.linalg import RightMultiplier, identity, row_terms
+from mckay.linalg import RightMultiplier
+from mckay.matgroup import close_group
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parents[1] / "groups"
 
@@ -27,18 +28,59 @@ def group_path(name):
     return GROUPS_DIR / f"{name}.grp"
 
 
+def identity(field, n):
+    one, zero = field.one(), field.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def trace(a):
+    return sum((a[i][i] for i in range(len(a))), a[0][0].field.zero())
+
+
+def sparse(a):
+    """A matrix of CycNum as the sparse rows of `linalg`."""
+    return tuple(tuple((j, x.nums, x.den) for j, x in enumerate(row) if x) for row in a)
+
+
+def dense(field, rows, n=None):
+    """Sparse rows as a matrix of CycNum with n columns, n = len(rows) by
+    default; each stored entry must be a nonzero normal form."""
+    zero = field.zero()
+    out = []
+    for row in rows:
+        entries = [zero] * (len(rows) if n is None else n)
+        for j, nums, den in row:
+            entries[j] = CycNum(field, nums, den)
+            assert (entries[j].nums, entries[j].den) == (nums, den) and entries[j]
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def element_matrix(group, i):
+    """The matrix of element i, rebuilt from its rows in `group.rows`."""
+    return dense(group.field, [group.rows[r] for r in group.elements[i]])
+
+
+def close(generators, **kwargs):
+    """`close_group` on matrices of CycNum over one field."""
+    return close_group(generators[0][0][0].field, [sparse(g) for g in generators],
+                       **kwargs)
+
+
+def close_spec(spec, **kwargs):
+    """`close_group` on the generators of a `DiagonalGroupSpec`."""
+    return close_group(cyclotomic_field(spec.exponent_vectors()[0]), spec.matrices(),
+                       **kwargs)
+
+
 def mat_mul(a, b):
     """The matrix product a * b through the closure's row kernel
-    `linalg.RightMultiplier`, one integer row of a at a time; each entry the
-    kernel returns must already be in normal form."""
-    times_b, field = RightMultiplier(b), b[0][0].field
-    out = []
-    for row in a:
-        pairs = tuple((x.nums, x.den) for x in row)
-        product = times_b(pairs, row_terms(pairs))
-        out.append(tuple(CycNum(field, *pair) for pair in product))
-        assert tuple((x.nums, x.den) for x in out[-1]) == product
-    return tuple(out)
+    `linalg.RightMultiplier`, one sparse row of a at a time; `dense` checks
+    that each entry the kernel returns is a nonzero normal form."""
+    field = b[0][0].field
+    times_b = RightMultiplier(field, sparse(b))
+    return dense(field, [times_b(row, [(den, _terms(nums)) for _, nums, den in row])
+                         for row in sparse(a)], len(b[0]))
 
 
 def inverse(x):

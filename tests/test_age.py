@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay import age, linalg
+from mckay import age
 from mckay.age import (
     ClassGrading,
     FractionalExpression,
@@ -21,11 +21,11 @@ from mckay.age import (
 from mckay.cyclo import CycNum, cyclotomic_field
 from mckay.errors import InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file
-from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 
-from conftest import (CORPUS, closed_group, graded_table, group_path, mat_mul,
-                      oracle_mat_inv, oracle_rref)
+from conftest import (CORPUS, close, close_spec, closed_group, dense, element_matrix,
+                      graded_table, group_path, mat_mul, oracle_mat_inv, oracle_rref,
+                      trace)
 from test_toric import diagonal_specs
 
 
@@ -36,8 +36,7 @@ def _flipped(expr):
 
 
 def _diag_group(n, generators):
-    spec = DiagonalGroupSpec(n, tuple(generators))
-    return close_group(spec.matrices())
+    return close_spec(DiagonalGroupSpec(n, tuple(generators)))
 
 
 def oracle_eigen_exponents(group, index):
@@ -48,7 +47,7 @@ def oracle_eigen_exponents(group, index):
     field = cyclotomic_field(lcm(group.field.order, r))
     step = field.order // r
     zeta_r_powers = [field.zeta(step * e) for e in range(r)]
-    traces = [linalg.trace(group.elements[group.power(index, k)]).embed(field)
+    traces = [trace(element_matrix(group, group.power(index, k))).embed(field)
               for k in range(r)]
     n = group.dimension
     exponents = []
@@ -89,7 +88,7 @@ def test_eigen_exponents_match_the_trace_formula_on_the_corpus(name, choice):
 @settings(max_examples=30, deadline=None)
 @given(spec=diagonal_specs(max_index=30, max_order=10, sl=None))
 def test_eigen_exponents_match_the_trace_formula_on_diagonal_groups(spec):
-    _assert_matches_oracle(close_group(spec.matrices()))
+    _assert_matches_oracle(close_spec(spec))
 
 
 @st.composite
@@ -114,12 +113,12 @@ def test_eigen_exponents_match_the_trace_formula_off_the_diagonal(data):
     # walks, the traces and the trace-sum check run on dense matrices whose
     # diagonal entries are not their eigenvalues
     spec = data.draw(diagonal_specs(max_index=24, max_order=8, sl=None))
-    diagonal = spec.matrices()
-    field = diagonal[0][0][0].field
+    field = cyclotomic_field(spec.exponent_vectors()[0])
+    diagonal = [dense(field, g) for g in spec.matrices()]
     p = tuple(tuple(field.from_rational(c) for c in row)
               for row in data.draw(unimodular_matrices(spec.n)))
     p_inv = oracle_mat_inv(p)
-    _assert_matches_oracle(close_group([mat_mul(mat_mul(p_inv, d), p) for d in diagonal]))
+    _assert_matches_oracle(close([mat_mul(mat_mul(p_inv, d), p) for d in diagonal]))
 
 
 def _counted_walks(monkeypatch):
@@ -192,7 +191,7 @@ def test_eigen_exponents_match_diagonal_readoff():
     group = _diag_group(3, [(7, (1, 2, 4))])
     field = group.field
     for i in range(len(group)):
-        element = group.elements[i]
+        element = element_matrix(group, i)
         r = group.orders[i]
         step = field.order // r
         read = []
@@ -212,7 +211,7 @@ def test_eigen_exponents_match_kernel_ranks():
         n = group.dimension
         for cls in group.classes:
             i = cls.representative
-            element = group.elements[i]
+            element = element_matrix(group, i)
             r = group.orders[i]
             step = field.order // r
             expr = eigen_exponents(group, i)

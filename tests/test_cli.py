@@ -346,11 +346,12 @@ def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
     # give the walk generator g1 of (1/7)(1,2,4) the matrix diag(2, 3, 1/6),
     # whose eigenvalues are no 7th roots of unity
     def replace_generator(group):
-        field = group.field
-        diagonal = (Fraction(2), Fraction(3), Fraction(1, 6))
-        group.elements[group.generator_indices[0]] = tuple(
-            tuple(field.from_rational(diagonal[i] if i == j else 0)
-                  for j in range(3)) for i in range(3))
+        ids = []
+        for i, d in enumerate((Fraction(2), Fraction(3), Fraction(1, 6))):
+            x = group.field.from_rational(d)
+            ids.append(len(group.rows))
+            group.rows.append(((i, x.nums, x.den),))
+        group.elements[group.generator_indices[0]] = tuple(ids)
 
     _tamper_after_closing(monkeypatch, replace_generator)
     code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))

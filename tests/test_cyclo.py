@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay import linalg
 from mckay.age import grade
 from mckay.cyclo import (
     MAX_FIELD_ORDER,
@@ -23,7 +22,8 @@ from mckay.cyclo import (
 from mckay.errors import FieldCapError, RequirementError
 from mckay.groupfile import parse_group_file
 
-from conftest import CORPUS, closed_group, graded_table, group_path, inverse, mat_mul
+from conftest import (CORPUS, closed_group, element_matrix, graded_table, group_path,
+                      inverse, mat_mul, trace)
 
 
 def coeffs(x):
@@ -362,15 +362,16 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, forbidden)
     with pytest.raises(AssertionError):
         Fraction(1, 2) + 1
-    for index, element in enumerate(icosahedral.elements):
+    for index in range(len(icosahedral)):
+        element = element_matrix(icosahedral, index)
         for k, g in enumerate(icosahedral.generator_indices):
-            product = mat_mul(element, icosahedral.elements[g])
-            image = icosahedral.elements[icosahedral._right[k][index]]
+            product = mat_mul(element, element_matrix(icosahedral, g))
+            image = element_matrix(icosahedral, icosahedral._right[k][index])
             assert product == image
             assert [hash(x) for row in product for x in row] == \
                 [hash(x) for row in image for x in row]
         embedded = tuple(tuple(x.embed(target) for x in row) for row in element)
-        assert linalg.trace(embedded) == linalg.trace(element).embed(target)
+        assert trace(embedded) == icosahedral.trace(index).embed(target)
     for name, group in groups.items():
         assert grade(group).buckets == expected[name]
 

@@ -18,8 +18,9 @@ from mckay.quiver import fold
 from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import monomial_valuation, ram_group, stab_group
 
-from conftest import (CORPUS, closed_group, group_path, mat_mul, oracle_det,
-                      oracle_mat_inv)
+from conftest import (CORPUS, close, close_spec, closed_group, dense, element_matrix,
+                      group_path, identity, mat_mul, oracle_det, oracle_mat_inv,
+                      sparse)
 from test_linalg import oracle_mat_mul
 from test_valuation import embed
 
@@ -135,12 +136,12 @@ def test_element_names():
 def test_power_walk_that_misses_the_identity_is_an_internal_error():
     # a right table that is not a group table: the generator fixes every
     # element but the identity, so g1, g1^2, ... never returns to e
-    group = close_group(DiagonalGroupSpec(3, ((7, (1, 2, 4)),)).matrices())
+    group = close_spec(DiagonalGroupSpec(3, ((7, (1, 2, 4)),)))
     right = [[row[0]] + list(range(1, len(row))) for row in group._right]
     with pytest.raises(InternalInvariantError,
                        match=r"powers of element g1 do not reach the identity "
                              r"within 7 steps"):
-        MatrixGroup(group.dimension, group.field, group.elements,
+        MatrixGroup(group.dimension, group.field, group.rows, group.elements,
                     group.generator_indices, group.generator_names, right,
                     group._tree, group.in_sl)
 
@@ -173,7 +174,7 @@ def oracle_close_group(generators, cap=100_000):
             index_of[key] = index
         return index
 
-    add(linalg.identity(field, n), ())
+    add(identity(field, n), ())
     generator_indices = tuple(add(tuple(tuple(row) for row in g), (k,))
                               for k, g in enumerate(generators))
     right = [[] for _ in generators]
@@ -188,8 +189,13 @@ def oracle_close_group(generators, cap=100_000):
             j -= 1
         tree.append((index_of_word[word[:j]], word[-1], len(word) - j))
     in_sl = all(oracle_det(g) == 1 for g in generators)
-    return (MatrixGroup(n, field, elements, generator_indices, names, right,
+    # the oracle group keeps each element's matrix in place of its row ids
+    return (MatrixGroup(n, field, None, elements, generator_indices, names, right,
                         tree, in_sl), words)
+
+
+def element_matrices(group):
+    return [element_matrix(group, i) for i in range(len(group))]
 
 
 def oracle_name(word, generator_names):
@@ -210,9 +216,9 @@ def oracle_name(word, generator_names):
 
 
 def assert_closure_matches_oracle(generators, names=None):
-    group = close_group(generators, names=names)
+    group = close(generators, names=names)
     oracle, words = oracle_close_group(generators)
-    assert group.elements == oracle.elements
+    assert element_matrices(group) == oracle.elements
     assert group.generator_indices == oracle.generator_indices
     assert group._right == oracle._right
     assert group._tree == oracle._tree
@@ -227,11 +233,14 @@ def assert_closure_matches_oracle(generators, names=None):
 
 
 def inverted_generators(gf):
-    """The generators a file closes on: under `--choice inverse`, a matrix
-    file's generators inverted by the test-side oracle."""
+    """The generators a file closes on, as matrices of CycNum: under
+    `--choice inverse`, a matrix file's generators inverted by the
+    test-side oracle."""
+    field = cyclotomic_field(gf.cyclotomic_order)
+    generators = [dense(field, g) for g in gf.matrices()]
     if gf.inverse:
-        return [oracle_mat_inv(g) for g in gf.matrices()]
-    return gf.matrices()
+        return [oracle_mat_inv(g) for g in generators]
+    return generators
 
 
 @pytest.mark.parametrize("choice", ["standard", "inverse"])
@@ -250,7 +259,7 @@ def _repeated_generators():
     z, zero = f4.zeta(), f4.zero()
     g = ((z, zero), (zero, f4.zeta(3)))
     h = ((zero, f4.one()), (-f4.one(), zero))
-    return [g, linalg.identity(f4, 2), g, h, ((f4.zeta(3), zero), (zero, z))]
+    return [sparse(m) for m in (g, identity(f4, 2), g, h, ((f4.zeta(3), zero), (zero, z)))]
 
 
 @pytest.mark.parametrize("name", MATRIX_FILES + ["repeated"])
@@ -263,8 +272,8 @@ def test_choice_inverse_equals_the_closure_of_the_inverted_matrices(name):
     else:
         gf = parse_group_file(group_path(name)).inverted()
     group = gf.close()
-    oracle = close_group(inverted_generators(gf), names=gf.generator_names)
-    assert group.elements == oracle.elements
+    oracle = close(inverted_generators(gf), names=gf.generator_names)
+    assert element_matrices(group) == element_matrices(oracle)
     assert group._tree == oracle._tree
     assert group._right == oracle._right
     assert group.generator_indices == oracle.generator_indices
@@ -276,11 +285,11 @@ def test_closure_record_is_linear_in_the_order():
     # (1/100)(1,99,0) + (1/100)(0,1,99) has order 10^4 and breadth-first
     # words of up to 198 letters; one tree entry per element keeps the
     # record linear, where a word tuple per element held 13.1 MB
-    generators = DiagonalGroupSpec(3, ((100, (1, 99, 0)),
-                                       (100, (0, 1, 99)))).matrices()
+    spec = DiagonalGroupSpec(3, ((100, (1, 99, 0)), (100, (0, 1, 99))))
+    field, generators = cyclotomic_field(100), spec.matrices()
     tracemalloc.start()
     try:
-        group = close_group(generators)
+        group = close_group(field, generators)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -288,48 +297,51 @@ def test_closure_record_is_linear_in_the_order():
     assert retained < 8_000_000
 
 
-def test_closure_of_a_high_dimensional_generator_shares_its_zero_entries():
-    # the dimension family: one order-3 generator (1/3)(1, 2, 0, ..., 0).
-    # Each zero entry of an integer row is the field's one zero pair; a
-    # fresh (nums, 1) pair per zero entry peaked at 89 MB here
-    n = 1000
-    generators = DiagonalGroupSpec(n, ((3, (1, 2) + (0,) * (n - 2)),)).matrices()
+def test_closure_of_a_high_dimensional_generator_stays_small():
+    # the dimension family: one order-3 generator (1/3)(1, 2, 0, ..., 0) in
+    # dimension 3000.  A sparse row stores no zero entry, so each of the
+    # distinct rows, the n unit rows and z, z^2 in columns 0 and 1, is one
+    # entry; dense rows of n entries, an integer and a CycNum copy of each,
+    # took hundreds of MB here
+    n = 3000
+    spec = DiagonalGroupSpec(n, ((3, (1, 2) + (0,) * (n - 2)),))
+    field, generators = cyclotomic_field(3), spec.matrices()
     tracemalloc.start()
     try:
-        group = close_group(generators)
+        group = close_group(field, generators)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(group) == 3
-    assert peak < 50_000_000
-    assert cyclo._dot(group.field, []) is group.field._zero_pair  # an empty sum
+    assert (len(group), len(group.rows)) == (3, n + 4)
+    assert all(len(row) == 1 for row in group.rows)
+    assert peak < 10_000_000
 
 
 def test_determinant_off_sl_still_closes():
     # diag(zeta, 1) has the determinant zeta, a root of unity but not 1
     f5 = cyclotomic_field(5)
     one, zero = f5.one(), f5.zero()
-    group = close_group([((f5.zeta(), zero), (zero, one))])
+    group = close([((f5.zeta(), zero), (zero, one))])
     assert (len(group), group.in_sl) == (5, False)
-    assert close_group([((f5.zeta(), zero), (zero, f5.zeta(4)))]).in_sl
+    assert close([((f5.zeta(), zero), (zero, f5.zeta(4)))]).in_sl
 
 
 def test_a_denominator_divisible_by_the_split_prime_takes_the_next(monkeypatch):
     # [[-1, 1/P], [0, 1]] has order 2; its entry 1/P has no image mod P
     prime, omega = cyclo.split_prime(1)
     f1 = cyclotomic_field(1)
-    g = ((-f1.one(), f1.from_rational(Fraction(1, prime))), (f1.zero(), f1.one()))
+    g = sparse(((-f1.one(), f1.from_rational(Fraction(1, prime))), (f1.zero(), f1.one())))
     with pytest.raises(ValueError):
-        linalg.det_image(g, prime, omega)
+        linalg.det_image(f1, g, prime, omega)
     primes, det_image = [], linalg.det_image
 
-    def recorded(a, p, w):
+    def recorded(field, a, p, w):
         primes.append(p)
-        return det_image(a, p, w)
+        return det_image(field, a, p, w)
 
     monkeypatch.setattr(linalg, "det_image", recorded)
-    group = close_group([g])
-    assert primes == [prime, cyclo.split_prime(1, prime)[0]]
+    group = close_group(f1, [g])
+    assert primes == [cyclo.split_prime(1, prime)[0]]
     assert (len(group), group.in_sl) == (2, False)
 
 
@@ -337,17 +349,17 @@ def reference_structure(group):
     """Products, inverses, orders, conjugacy classes, power lists, cyclic
     subgroups and maximal cyclic subgroups of a closed group, found by brute
     force from per-scalar matrix products and the dedup key alone."""
-    elements = group.elements
+    elements = element_matrices(group)
     index = {_key(e): i for i, e in enumerate(elements)}
-    identity = index[_key(linalg.identity(group.field, group.dimension))]
+    identity_index = index[_key(identity(group.field, group.dimension))]
     table = [[index[_key(oracle_mat_mul(a, b))] for b in elements]
              for a in elements]
-    inverses = [row.index(identity) for row in table]
+    inverses = [row.index(identity_index) for row in table]
     # x^0, x^1, ... up to the last power before the identity comes back
     powers = []
     for i in range(len(elements)):
-        walk, acc = [identity], i
-        while acc != identity:
+        walk, acc = [identity_index], i
+        while acc != identity_index:
             walk.append(acc)
             acc = table[acc][i]
         powers.append(walk)
@@ -372,7 +384,7 @@ def reference_structure(group):
     maximal = sorted(((by_set[s], tuple(sorted(s))) for s in by_set
                       if not any(s < other for other in by_set)),
                      key=lambda sg: (len(sg[1]), sg[1]))
-    return identity, table, inverses, orders, classes, cyclic, maximal
+    return identity_index, table, inverses, orders, classes, cyclic, maximal
 
 
 def oracle_centralizer(group, g):
@@ -417,11 +429,12 @@ def test_inverted_file_inverts_only_the_generators(name):
         (gf.format, gf.dimension, gf.cyclotomic_order, gf.generator_names)
     assert inverted.inverse == (gf.format == "matrix")
     assert not inverted.inverted().inverse
+    field = cyclotomic_field(gf.cyclotomic_order)
     for g, h in zip(gf.matrices(), inverted.matrices(), strict=True):
         if gf.format == "matrix":  # inverted when the group is closed
             assert h is g
         else:
-            assert mat_mul(g, h) == linalg.identity(g[0][0].field, gf.dimension)
+            assert mat_mul(dense(field, g), dense(field, h)) == identity(field, gf.dimension)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -443,7 +456,7 @@ def diagonal_sl_specs(draw, max_n=3):
 @settings(max_examples=15, deadline=None)
 @given(diagonal_sl_specs())
 def test_multiplication_table_matches_matrix_products_diagonal(spec):
-    group = close_group(spec.matrices())
+    group = close_spec(spec)
     assert group.in_sl
     assert_matches_reference(group)
 
@@ -451,7 +464,8 @@ def test_multiplication_table_matches_matrix_products_diagonal(spec):
 @settings(max_examples=25, deadline=None)
 @given(diagonal_sl_specs(max_n=4))
 def test_closure_matches_matrix_product_oracle_on_diagonal_groups(spec):
-    assert assert_closure_matches_oracle(spec.matrices()).in_sl
+    field = cyclotomic_field(spec.exponent_vectors()[0])
+    assert assert_closure_matches_oracle([dense(field, g) for g in spec.matrices()]).in_sl
 
 
 def infinite_group():
@@ -466,7 +480,7 @@ def infinite_group():
 
 def test_closure_and_oracle_stop_at_the_cap_on_an_infinite_group():
     with pytest.raises(ClosureCapError):
-        close_group(infinite_group(), cap=500)
+        close(infinite_group(), cap=500)
     with pytest.raises(ClosureCapError):
         oracle_close_group(infinite_group(), cap=500)
 
@@ -477,22 +491,27 @@ def test_closure_multiplies_each_distinct_row_once_per_generator(name, monkeypat
     times_g = linalg.RightMultiplier.__call__
 
     def counted(self, row, left):
-        calls.append(row)
+        calls.append((id(self), row))
         return times_g(self, row, left)
 
-    gens = parse_group_file(group_path(name)).matrices()
+    gf = parse_group_file(group_path(name))
+    gens = gf.matrices()
     monkeypatch.setattr(linalg.RightMultiplier, "__call__", counted)
-    group = close_group(gens)
+    group = gf.close()
     monkeypatch.undo()
-    # each kernel call multiplies one integer row: n pairs (nums, den)
-    assert all(len(row) == group.dimension and {len(pair) for pair in row} == {2}
-               for row in calls)
-    distinct_rows = {row for e in group.elements for row in e}
-    assert len(calls) <= len(distinct_rows) * len(gens)
-    # the elements share one row tuple per distinct row, and one zero
-    assert len({id(row) for e in group.elements for row in e}) == len(distinct_rows)
-    zero = group.field.zero()
-    assert all(x is zero for e in group.elements for row in e for x in row if not x)
+    # each kernel call multiplies one distinct row of the group by one
+    # generator, and a row is its nonzero entries (column, nums, den),
+    # sorted by column
+    assert len(calls) == len(set(calls)) <= len(group.rows) * len(gens)
+    assert {row for _, row in calls} <= set(group.rows)
+    assert len(set(group.rows)) == len(group.rows)
+    for row in group.rows:
+        assert [j for j, _, _ in row] == sorted({j for j, _, _ in row})
+        assert all(0 <= j < group.dimension and len(nums) == group.field.degree
+                   and any(nums) for j, nums, _ in row)
+    # the elements hold row ids, every row of `rows` used by some element
+    distinct_rows = {r for e in group.elements for r in e}
+    assert distinct_rows == set(range(len(group.rows)))
     if name == "icosahedral60":
         assert (len(distinct_rows), len(gens), len(calls)) == (30, 2, 60)
 
@@ -526,7 +545,7 @@ def test_scalar_lift_matches_group_closed_in_exponent_field(name):
     assert group.field.order % group.exponent != 0
     field = cyclotomic_field(lcm(group.field.order, group.exponent))
     gens = parse_group_file(group_path(name)).matrices()
-    big = close_group([embed(g, field) for g in gens])
+    big = close([embed(dense(group.field, g), field) for g in gens])
     assert big._tree == group._tree
     for i in range(len(group)):
         assert eigen_exponents(big, i) == eigen_exponents(group, i)
@@ -544,33 +563,46 @@ def test_closure_cap():
     one, zero = f1.one(), f1.zero()
     unipotent = ((one, one), (zero, one))
     with pytest.raises(ClosureCapError):
-        close_group([unipotent], cap=50)
+        close([unipotent], cap=50)
     # the identity is checked against the cap like every other element
     with pytest.raises(ClosureCapError):
-        close_group([linalg.identity(f1, 2)], cap=0)
-    assert len(close_group([linalg.identity(f1, 2)], cap=1)) == 1
+        close([identity(f1, 2)], cap=0)
+    assert len(close([identity(f1, 2)], cap=1)) == 1
 
 
 def test_closure_rejects_bad_generators():
     f1 = cyclotomic_field(1)
     one, zero = f1.one(), f1.zero()
     with pytest.raises(RequirementError):
-        close_group([])
+        close_group(f1, [])
     with pytest.raises(RequirementError):
-        close_group([((one, zero), (zero,))])
+        close([((one, zero), (zero,))])
     with pytest.raises(RequirementError):
-        close_group([((zero, zero), (zero, zero))])
+        close([((zero, zero), (zero, zero))])
     f3 = cyclotomic_field(3)
     mixed = ((f3.one(), f3.zero()), (zero, one))
     with pytest.raises(RequirementError):
-        close_group([mixed])
+        close([mixed])
+    # the sparse form: a column out of range, columns out of order or
+    # repeated, and entries that are zero or not in normal form
+    unit = (1,)
+    for rows, message in (
+            ((((0, unit, 1),), ((2, unit, 1),)), "square"),
+            ((((1, unit, 1), (0, unit, 1)), ((1, unit, 1),)), "sorted by column"),
+            ((((0, unit, 1), (0, unit, 1)), ((1, unit, 1),)), "sorted by column"),
+            ((((0, (0,), 1),), ((1, unit, 1),)), "normal form"),
+            ((((0, (2,), 2),), ((1, unit, 1),)), "normal form"),
+            ((((0, unit, 0),), ((1, unit, 1),)), "normal form"),
+            ((((0, (1, 0), 1),), ((1, unit, 1),)), "normal form")):
+        with pytest.raises(RequirementError, match=message):
+            close_group(f1, [rows])
 
 
 def test_duplicate_generators_collapse():
     f4 = cyclotomic_field(4)
     z, zero = f4.zeta(), f4.zero()
     g = ((z, zero), (zero, f4.zeta(3)))
-    group = close_group([g, g], names=["A", "B"])
+    group = close([g, g], names=["A", "B"])
     assert len(group) == 4
     assert group.generator_indices[0] == group.generator_indices[1]
 

@@ -1,11 +1,10 @@
 import pytest
 
 from mckay.errors import RequirementError
-from mckay.matgroup import close_group
 from mckay.quiver import fold, junior_chains, to_dot, to_json_dict
 from mckay.toric import DiagonalGroupSpec
 
-from conftest import closed_group
+from conftest import close, close_spec, closed_group, identity
 
 
 def _degrees(graph):
@@ -59,7 +58,7 @@ def test_bt_folds_to_e6():
 
 def test_cyclic_folds_to_path():
     spec = DiagonalGroupSpec(2, ((5, (1, 4)),))
-    group = close_group(spec.matrices(), names=["g"])
+    group = close_spec(spec, names=["g"])
     graph = fold(group)
     assert len(graph.nodes) == 4
     assert len(graph.edges) == 3
@@ -87,11 +86,10 @@ def test_fold_requires_sl2():
         fold(closed_group("trihedral27"))
     spec = DiagonalGroupSpec(2, ((4, (1, 0)),))
     with pytest.raises(RequirementError):
-        fold(close_group(spec.matrices()))
+        fold(close_spec(spec))
     from mckay.cyclo import cyclotomic_field
-    from mckay import linalg
 
-    trivial = close_group([linalg.identity(cyclotomic_field(1), 2)])
+    trivial = close([identity(cyclotomic_field(1), 2)])
     with pytest.raises(RequirementError):
         fold(trivial)
 

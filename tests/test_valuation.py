@@ -12,7 +12,6 @@ from mckay.cli import main
 from mckay.cyclo import CycNum, cyclotomic_field
 from mckay.errors import InternalInvariantError, RequirementError
 from mckay.groupfile import parse_group_file, parse_group_text
-from mckay.matgroup import close_group
 from mckay.toric import DiagonalGroupSpec
 from mckay.valuation import (
     _primitivize,
@@ -23,15 +22,15 @@ from mckay.valuation import (
     valuation_fingerprint,
 )
 
-from conftest import CORPUS, closed_group, group_path, mat_mul, oracle_mat_inv, oracle_rref
+from conftest import (CORPUS, close, close_spec, closed_group, dense, element_matrix,
+                      group_path, identity, mat_mul, oracle_mat_inv, oracle_rref)
 from test_age import _counted_walks, unimodular_matrices
 from test_cyclo import power
 from test_toric import diagonal_specs, spec_text
 
 
 def _diag_group(n, generators):
-    spec = DiagonalGroupSpec(n, tuple(generators))
-    return close_group(spec.matrices())
+    return close_spec(DiagonalGroupSpec(n, tuple(generators)))
 
 
 @dataclass
@@ -39,7 +38,7 @@ class EigenDecomposition:
     expression: FractionalExpression
     # eigenvector columns over Q(zeta_lcm(N, r)), aligned with the
     # (ascending) expression.exponents
-    basis: linalg.Matrix
+    basis: tuple
 
 
 def kernel_basis(a):
@@ -69,7 +68,7 @@ def eigen_decompose(group, index):
     expr = eigen_exponents(group, index)
     r = group.orders[index]
     field = cyclotomic_field(lcm(group.field.order, r))
-    entries = embed(group.elements[index], field)
+    entries = embed(element_matrix(group, index), field)
     step = field.order // r
     n = group.dimension
     columns, exps = [], []
@@ -96,7 +95,7 @@ def test_eigen_decompose_bd8_b():
     assert dec.expression.r == 4
     # the eigenvectors form a basis
     product = mat_mul(oracle_mat_inv(dec.basis), dec.basis)
-    assert product == linalg.identity(dec.basis[0][0].field, 2)
+    assert product == identity(dec.basis[0][0].field, 2)
 
 
 def test_eigen_decompose_permutation():
@@ -170,8 +169,8 @@ def test_stab_and_ram_for_scalar_junior():
     g = next(
         i for i in range(1, len(group))
         if all(
-            group.elements[i][p][q] == (
-                group.elements[i][0][0] if p == q else group.field.zero()
+            element_matrix(group, i)[p][q] == (
+                element_matrix(group, i)[0][0] if p == q else group.field.zero()
             )
             for p in range(3) for q in range(3)
         ) and group.orders[i] == 3
@@ -204,7 +203,8 @@ def _in_eigenbasis(group, v):
     """(h, the matrix of h in the eigenbasis of `v`) for every element h."""
     basis = eigen_decompose(group, v.source_index).basis
     field, basis_inverse = basis[0][0].field, oracle_mat_inv(basis)
-    for h, element in enumerate(group.elements):
+    for h in range(len(group)):
+        element = element_matrix(group, h)
         yield h, mat_mul(basis_inverse, mat_mul(embed(element, field), basis))
 
 
@@ -233,7 +233,7 @@ def test_stab_equals_block_diagonal_scan_on_corpus(name, choice):
 @settings(max_examples=25, deadline=None)
 @given(spec=diagonal_specs(max_index=24, max_order=8))
 def test_stab_equals_block_diagonal_scan_on_diagonal_groups(spec):
-    _assert_stab_is_block_diagonal_scan(close_group(spec.matrices()))
+    _assert_stab_is_block_diagonal_scan(close_spec(spec))
 
 
 def test_walk_weights_that_differ_from_the_valuation_are_an_internal_error(
@@ -358,8 +358,7 @@ def _diagonal_groups(draw):
         return tuple(tuple(diag[i] if i == j else field.zero() for j in range(n))
                      for i in range(n))
 
-    return close_group([diagonal(field.order)]
-                       + [diagonal(1)] * draw(st.integers(0, 1)))
+    return close([diagonal(field.order)] + [diagonal(1)] * draw(st.integers(0, 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,7 +380,7 @@ def oracle_ram_group(group, v):
     field, basis_inverse = basis[0][0].field, oracle_mat_inv(basis)
     members = []
     for h in stab_group(group, v):
-        m = mat_mul(basis_inverse, mat_mul(embed(group.elements[h], field), basis))
+        m = mat_mul(basis_inverse, mat_mul(embed(element_matrix(group, h), field), basis))
         assert not any(m[i][j] for i in range(n) for j in range(n)
                        if weights[i] != weights[j])
         if any(m[i][j] for i in range(n) for j in range(n) if i != j):
@@ -410,7 +409,7 @@ def test_ram_equals_the_conjugation_oracle_on_corpus(name, choice):
 @settings(max_examples=40, deadline=None)
 @given(spec=diagonal_specs(max_index=24, max_order=8, sl=None))
 def test_ram_equals_the_conjugation_oracle_on_diagonal_groups(spec):
-    _assert_ram_matches_oracle(close_group(spec.matrices()))
+    _assert_ram_matches_oracle(close_spec(spec))
 
 
 @settings(max_examples=25, deadline=None)
@@ -419,13 +418,12 @@ def test_ram_equals_the_conjugation_oracle_off_the_diagonal(data):
     # P^-1 D P: the eigenbasis is dense, and each power walk's exponents
     # come from the characteristic polynomial of a dense generator
     spec = data.draw(diagonal_specs(max_index=24, max_order=8, sl=None))
-    diagonal = spec.matrices()
-    field = diagonal[0][0][0].field
+    field = cyclotomic_field(spec.exponent_vectors()[0])
+    diagonal = [dense(field, g) for g in spec.matrices()]
     p = tuple(tuple(field.from_rational(c) for c in row)
               for row in data.draw(unimodular_matrices(spec.n)))
     p_inv = oracle_mat_inv(p)
-    _assert_ram_matches_oracle(close_group(
-        [mat_mul(mat_mul(p_inv, d), p) for d in diagonal]))
+    _assert_ram_matches_oracle(close([mat_mul(mat_mul(p_inv, d), p) for d in diagonal]))
 
 
 def test_ram_builds_one_polynomial_per_walk(capsys, monkeypatch, tmp_path):
@@ -517,7 +515,7 @@ def test_junior_valuation_is_crepant():
 def _scan_diagonal_exponents(group, index):
     """The zeta scan that the word vector replaced: e_i with
     entry_ii = zeta_N^{e_i}, trying k = 0..N-1."""
-    element, field = group.elements[index], group.field
+    element, field = element_matrix(group, index), group.field
     n = group.dimension
     assert not any(element[i][j]
                    for i in range(n) for j in range(n) if i != j)
@@ -560,7 +558,7 @@ def _scan_fingerprint(group, index, probe_degree):
 
 def _spec_and_group(n, generators):
     spec = DiagonalGroupSpec(n, tuple(generators))
-    return spec, close_group(spec.matrices())
+    return spec, close_spec(spec)
 
 
 def test_diagonal_exponents():
@@ -578,7 +576,7 @@ def test_word_vectors_and_fingerprints_match_the_scan(spec):
     # matrix side (scanned diagonals), under both choices
     inverse = parse_group_text(spec_text(spec)).inverted().to_spec()
     for s in (spec, inverse):
-        group = close_group(s.matrices())
+        group = close_spec(s)
         L = group.field.order
         assert s.exponent_vectors()[0] == L
         for i in range(1, len(group)):
