@@ -51,13 +51,12 @@ def _group_file(args) -> GroupFile:
     return gf.inverted() if args.choice == "inverse" else gf
 
 
-def _load(args) -> tuple[GroupFile, MatrixGroup]:
-    gf = _group_file(args)
-    return gf, gf.close(cap=args.max_order)
+def _load(args) -> MatrixGroup:
+    return _group_file(args).close(cap=args.max_order)
 
 
 def cmd_info(args) -> str:
-    _, group = _load(args)
+    group = _load(args)
     return _report(_group_block(group), {})
 
 
@@ -83,7 +82,7 @@ def _class_entries(group: MatrixGroup, table) -> list[dict]:
 
 
 def cmd_classes(args) -> str:
-    _, group = _load(args)
+    group = _load(args)
     table = age_mod.grade(group)
     return _report(_group_block(group),
                    {"classes": _class_entries(group, table)})
@@ -178,7 +177,10 @@ def cmd_diagram(args) -> str:
 
 
 def cmd_ram(args) -> str:
-    gf, group = _load(args)
+    gf = _group_file(args)
+    if args.probe is not None and gf.format != "diagonal":  # before the closure
+        raise RequirementError("--probe needs a diagonal file")
+    group = gf.close(cap=args.max_order)
     if not 0 <= args.class_id < len(group.classes):
         raise RequirementError(
             f"class id {args.class_id} out of range "

@@ -3,15 +3,18 @@
 An element is stored in normal form: a tuple of phi(R) integer numerators
 and one positive integer denominator, standing for
     (nums[0] + nums[1]*zeta + ... + nums[phi(R)-1]*zeta^(phi(R)-1)) / den,
-reduced modulo the R-th cyclotomic polynomial and with
-gcd(den, *nums) = 1.  The normal form is unique, so equality and hashing
-compare integer tuples.  Arithmetic is integer arithmetic: sums add
-numerators over a common denominator, products convolve the numerators and
-reduce through the field's table of powers of zeta; nothing divides.  One
-kernel, `_dot`, does that convolution and reduction and returns the normal
-form (nums, den): `CycNum.__mul__` wraps it, and the row kernel of `linalg`
-uses it on the sparse integer rows of a closure, reducing each entry's sum
-of products once.  `fractions.Fraction` appears only at the boundaries:
+reduced modulo the R-th cyclotomic polynomial Phi_R and with
+gcd(den, *nums) = 1.  Phi_R is built as the Moebius product of the
+binomials x^(R/d) - 1 over the squarefree divisors d of R (Lang, Algebra,
+VI.3), each factor one pass over its coefficients.  The normal form is
+unique, so equality and hashing compare integer tuples.  Arithmetic is
+integer arithmetic: sums add numerators over a common denominator,
+products convolve the numerators and reduce through the field's table of
+powers of zeta; nothing divides.  One kernel, `_dot`, does that
+convolution and reduction and returns the normal form (nums, den):
+`CycNum.__mul__` wraps it, and the row kernel of `linalg` uses it on the
+sparse integer rows of a closure, reducing each entry's sum of products
+once.  `fractions.Fraction` appears only at the boundaries:
 building elements from rational coefficients, reading them back
 (`as_rational`, `to_literal`), and hashing a rational element.
 
@@ -39,67 +42,57 @@ _DIGITS = frozenset("0123456789")  # str.isdigit also takes '²', which int() re
 # Largest cyclotomic order a field is built for; larger orders are refused
 # before Phi_R or the power table is computed.  The power table costs
 # O(R * phi(R)) and a dense product O(phi(R)^2): building the field and
-# multiplying two dense elements took at most 0.65 s for R <= 2048 (worst
-# at R = 2039 and 2047; Python 3.11 on a 2-core x86-64 host), against
-# 1.6 s at R = 3001 and 4.8 s at R = 5003.
+# multiplying two dense elements took at most 0.83 s for R <= 2048 (worst
+# at the primes R = 2017 and 2039, 0.05-0.16 s at R = 2040, 2046 and 2048;
+# fresh processes, Python 3.11 on a 2-core x86-64 host), against 1.3 s at
+# R = 3001 and 3.2 s at R = 5003.
 MAX_FIELD_ORDER = 2048
+
+
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    return primes
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for q in prime_factors(n):
+        n -= n // q
+    return n
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num, den):
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    dlead = den[-1]
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[k + len(den) - 1], dlead)
-        if r:
-            raise ArithmeticError("division not exact")
-        out[k] = q
-        for j, dj in enumerate(den):
-            num[k + j] -= q * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder")
-    return out
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Coefficients of Phi_order, ascending, computed by exact division
-    of x^order - 1 by the product of Phi_d over proper divisors d."""
+    """Coefficients of Phi_order, ascending: the Moebius product of the
+    binomials (x^(order/d) - 1)^mu(d) over the squarefree d | order, the
+    signed subsets of its primes.  It multiplies by each binomial with
+    mu(d) = 1, then divides exactly by each with mu(d) = -1; each step is
+    one pass over the coefficients."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    num = [0] * (order + 1)
-    num[0], num[-1] = -1, 1
-    den = [1]
-    for d in range(1, order):
-        if order % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    return tuple(_poly_divexact(num, den))
+    ups, downs = [order], []  # order / d for mu(d) = 1 and for mu(d) = -1
+    for q in prime_factors(order):
+        ups, downs = ups + [e // q for e in downs], downs + [e // q for e in ups]
+    poly = [1]
+    for e in ups:  # p * (x^e - 1) has the coefficients p[i - e] - p[i]
+        poly = list(map(sub, [0] * e + poly, poly + [0] * e))
+    for e in downs:  # p = q * (x^e - 1) gives q[i] = q[i - e] - p[i]
+        poly = [-c for c in poly]
+        for i in range(e, len(poly)):
+            poly[i] += poly[i - e]
+        if any(poly[-e:]):
+            raise ArithmeticError("nonzero remainder")
+        del poly[-e:]
+    return tuple(poly)
 
 
 class CyclotomicField:
@@ -189,7 +182,7 @@ def split_prime(order: int, above: int = 2 ** 62) -> tuple[int, int]:
     p = above - above % m + 1
     while p <= above or not is_prime(p):
         p += m
-    factors = [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+    factors = prime_factors(m)
     a = 2
     while True:
         x = pow(a, (p - 1) // m, p)

@@ -34,7 +34,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter, le, mod
 
-from .cyclo import cyclotomic_field
+from .cyclo import cyclotomic_field, prime_factors
 from .errors import ClosureCapError, InternalInvariantError, RequirementError
 from .matgroup import DEFAULT_CAP, _Lazy
 from .record import Record
@@ -164,23 +164,11 @@ class OverLattice:
         g = gcd(*scaled)
         return bool(g) and not any(
             tuple(c // q for c in scaled) in self._point_set
-            for q in _prime_factors(g)
+            for q in prime_factors(g)
         )
 
     def __repr__(self):
         return f"OverLattice(n={self.n}, index={self.index})"
-
-
-def _prime_factors(m: int):
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            yield q
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        yield m
 
 
 def build_lattice(spec: DiagonalGroupSpec, cap: int = DEFAULT_CAP) -> OverLattice:

@@ -83,11 +83,13 @@ def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     The exponents a_i of g, of order r, must give the power sums
     sum_i zeta_r^(k a_i) = Tr(g^k) for k = 1..min(n, r - 1).  Both sides
     have period r in k and equal n at k = 0, so these k give p_1..p_n, and
-    by Newton's identities p_1..p_n fix the multiset of n eigenvalues."""
+    by Newton's identities p_1..p_n fix the multiset of n eigenvalues.
+    `eigen_exponents` has compared k = 1 in the same field Q(zeta_lcm(N, r)),
+    so the loop starts at k = 2."""
     expr = eigen_exponents(group, index)
     field = cyclotomic_field(lcm(group.field.order, expr.r))
     step = field.order // expr.r
-    for k in range(1, min(group.dimension, expr.r - 1) + 1):
+    for k in range(2, min(group.dimension, expr.r - 1) + 1):
         power_sum = field.element(Counter(step * k * a for a in expr.exponents))
         if power_sum != group.trace(group.power(index, k)).embed(field):
             raise InternalInvariantError(

@@ -1,5 +1,6 @@
 import pathlib
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
@@ -95,6 +96,29 @@ def inverse(x):
             others = others * field.element(
                 {a * k: c for k, c in enumerate(x.nums)}, x.den)
     return others * (1 / Fraction((x * others).as_rational()))
+
+
+@lru_cache(maxsize=None)
+def oracle_cyclotomic_polynomial(order):
+    """Phi_order, ascending, by exact division of x^order - 1 by the
+    product of Phi_d over the proper divisors d, recursively."""
+    den = [1]
+    for d in range(1, order):
+        if order % d == 0:
+            phi_d, product = oracle_cyclotomic_polynomial(d), den
+            den = [0] * (len(product) + len(phi_d) - 1)
+            for i, a in enumerate(product):
+                if a:
+                    for j, b in enumerate(phi_d):
+                        den[i + j] += a * b
+    num = [-1] + [0] * (order - 1) + [1]
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):  # den is monic
+        out[k] = q = num[k + len(den) - 1]
+        for j, b in enumerate(den):
+            num[k + j] -= q * b
+    assert not any(num), "x^order - 1 is not divisible by the product"
+    return tuple(out)
 
 
 def oracle_det(a):

@@ -283,6 +283,23 @@ def test_ram_probe_cap(capsys):
                    f"monomials, over the limit of {MAX_PROBE_MONOMIALS}\n")
 
 
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+def test_ram_probe_on_a_matrix_file_is_refused_before_the_closure(
+        capsys, monkeypatch, choice):
+    # a matrix file has no exponent vectors to fingerprint, so the probe
+    # would change nothing
+    path = str(group_path("bd8"))
+    assert run(capsys, "ram", "--class", "1", path, "--choice", choice)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed the group of a matrix file under --probe")
+
+    monkeypatch.setattr(GroupFile, "close", refuse)
+    code, out, err = run(capsys, "ram", "--class", "1", path, "--probe", "3",
+                         "--choice", choice)
+    assert (code, out, err) == (3, "", "error: --probe needs a diagonal file\n")
+
+
 def test_ram_default_probe_fits_the_monomial_limit(capsys, tmp_path):
     # the exponent 83 would enumerate 102339 monomials; the default probe
     # is lowered to 82 (98769 monomials) instead of exiting 4

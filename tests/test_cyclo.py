@@ -17,13 +17,14 @@ from mckay.cyclo import (
     euler_phi,
     is_prime,
     parse_literal,
+    prime_factors,
     split_prime,
 )
 from mckay.errors import FieldCapError, RequirementError
 from mckay.groupfile import parse_group_file
 
 from conftest import (CORPUS, closed_group, element_matrix, graded_table, group_path,
-                      inverse, mat_mul, trace)
+                      inverse, mat_mul, oracle_cyclotomic_polynomial, trace)
 
 
 def coeffs(x):
@@ -170,22 +171,29 @@ def test_cyclotomic_polynomial_small():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)  # x^4 - x^2 + 1
 
 
-def test_cyclotomic_polynomial_oracle():
-    # independent check: product over all divisors reconstructs x^R - 1
-    for r in range(1, 25):
-        product = [1]
-        for d in range(1, r + 1):
-            if r % d == 0:
-                phi_d = cyclotomic_polynomial(d)
-                new = [0] * (len(product) + len(phi_d) - 1)
-                for i, a in enumerate(product):
-                    for j, b in enumerate(phi_d):
-                        new[i + j] += a * b
-                product = new
-        expected = [0] * (r + 1)
-        expected[0], expected[-1] = -1, 1
-        assert product == expected
-        assert len(cyclotomic_polynomial(r)) - 1 == euler_phi(r)
+@pytest.mark.parametrize("orders", [range(1, 201), (1680, 1848, 2016, 2040, 2046, 2048)],
+                         ids=["R<=200", "composite"])
+def test_cyclotomic_polynomial_oracle(orders):
+    # the Moebius product of binomials against the recursive division
+    for r in orders:
+        assert cyclotomic_polynomial(r) == oracle_cyclotomic_polynomial(r), r
+
+
+def test_every_cyclotomic_polynomial_to_the_cap_is_monic_and_divides_x_r_minus_1():
+    # prod_{d | R} Phi_d(t) = t^R - 1, compared mod a prime at two points
+    prime = 2 ** 61 - 1
+    for t in (2, 10 ** 17 + 3):
+        product = [1] * (MAX_FIELD_ORDER + 1)
+        for d in range(1, MAX_FIELD_ORDER + 1):
+            phi = cyclotomic_polynomial(d)
+            assert phi[-1] == 1 and len(phi) - 1 == euler_phi(d), d
+            value = 0
+            for c in reversed(phi):
+                value = (value * t + c) % prime
+            for r in range(d, MAX_FIELD_ORDER + 1, d):
+                product[r] = product[r] * value % prime
+        assert all(product[r] == (pow(t, r, prime) - 1) % prime
+                   for r in range(1, MAX_FIELD_ORDER + 1))
 
 
 def test_zeta_squared_in_q_i():
@@ -395,19 +403,41 @@ def test_parsing_the_corpus_does_no_fraction_arithmetic(monkeypatch):
     assert [parse_group_file(path).matrices() for path in paths] == expected
 
 
-def test_primality_matches_trial_division():
-    limit = 10 ** 5
-    composite = bytearray(limit + 1)
-    for p in range(2, int(limit ** 0.5) + 1):
+_SIEVE_LIMIT = 10 ** 5
+
+
+@lru_cache(maxsize=None)
+def _composite():
+    """composite[n] for n <= _SIEVE_LIMIT: the sieve of Eratosthenes."""
+    composite = bytearray(_SIEVE_LIMIT + 1)
+    for p in range(2, int(_SIEVE_LIMIT ** 0.5) + 1):
         if not composite[p]:
-            composite[p * p::p] = b"\1" * len(range(p * p, limit + 1, p))
-    assert [n for n in range(limit + 1) if is_prime(n)] == \
-        [n for n in range(2, limit + 1) if not composite[n]]
+            composite[p * p::p] = b"\1" * len(range(p * p, _SIEVE_LIMIT + 1, p))
+    return composite
+
+
+def test_primality_matches_trial_division():
+    composite = _composite()
+    assert [n for n in range(_SIEVE_LIMIT + 1) if is_prime(n)] == \
+        [n for n in range(2, _SIEVE_LIMIT + 1) if not composite[n]]
     # a strong pseudoprime to every prime base up to 31: only the bases 37
     # and 41 of the 13 expose it
     assert not is_prime(3825123056546413051)
     assert 3825123056546413051 == 149491 * 747451 * 34233211
     assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 62 + 1)
+
+
+def test_prime_factors_match_the_sieve():
+    composite = _composite()
+    for n in range(1, _SIEVE_LIMIT + 1):
+        primes = prime_factors(n)
+        assert primes == sorted(set(primes)), n
+        rest = n
+        for q in primes:
+            assert q >= 2 and not composite[q] and rest % q == 0, (n, q)
+            while rest % q == 0:
+                rest //= q
+        assert rest == 1, n
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 12, 97, 401, 997, 2048])
