@@ -1,20 +1,21 @@
 """The age grading of conjugacy classes and the cohomology it predicts.
 
 Eigenvalue exponents come from one characteristic polynomial per power
-walk, of the d eigenvalues other than 1, in O(R*d) field products for a
-walk of length R: the element x^k of the walk of x has the k-th powers of
-the eigenvalues of x.  Grading is
-attached to conjugacy classes through a representative, with
-class-constancy asserted at runtime.
+walk, of the d eigenvalues other than 1: the element x^k of the walk of x
+has the k-th powers of the eigenvalues of x.  Its roots are found in
+O(R*d) products of integers modulo a split prime and certified by exact
+power sums.  Grading is attached to conjugacy classes through a
+representative, with class-constancy asserted at runtime.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
-from .cyclo import cyclotomic_field
+from .cyclo import cyclotomic_field, split_prime
 from .errors import InternalInvariantError, RequirementError
 from .matgroup import MatrixGroup
 from .record import Record, ValueRecord
@@ -51,40 +52,49 @@ class FractionalExpression(ValueRecord):
         return f"(1/{self.r})({','.join(map(str, self.exponents))})"
 
 
+def power_sum_miss(group: MatrixGroup, index: int, r: int, exponents, ks):
+    """The first k in `ks` with sum_a zeta_r^(k a) != Tr(g^k), g of order r
+    with the `exponents` a, compared exactly in Q(zeta_lcm(N, r)), or None."""
+    field = cyclotomic_field(lcm(group.field.order, r))
+    for k in ks:
+        power_sum = field.element(Counter(field.order // r * k * a for a in exponents))
+        if power_sum != group.trace(group.power(index, k)).embed(field):
+            return k
+
+
 def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
     """The exponents a, ascending with multiplicity, of the eigenvalues
     zeta_R^a of x = walk[1], R = len(walk), from p_i = Tr(x^i) = Tr(walk[i]).
     The eigenvalue 1 has multiplicity m = (p_0 + ... + p_(R-1)) / R, taken
-    as 0 unless that is an integer in [0, n], so that wrong traces still
-    fail the split check or the trace-sum check.  Newton's identities give the
+    as 0 unless that is an integer in [0, n].  Newton's identities give the
     polynomial t^d + c_1 t^(d-1) + ... + c_d, d = n - m, of the others from
     q_i = p_i - m, c_0 = 1: k c_k = -(c_(k-1) q_1 + ... + c_0 q_k), where
-    q_(i+R) = q_i folds the terms i >= R into (R + d - k) c_(k-R).  Horner's
-    rule tries each R-th root but 1 and divides it out while it is a root;
-    raises unless n roots are found."""
+    q_(i+R) = q_i folds the terms i >= R into (R + d - k) c_(k-R); Horner's
+    rule divides out each R-th root but 1 while it is a root.  Both run
+    modulo the split prime P of L = lcm(N, R), into which mu_L maps
+    injectively; the exact power sums k = 1..min(d, R - 1), which fix the
+    polynomial, certify the n roots."""
     n, R = group.dimension, len(walk)
     p = [group.trace(y) for y in walk]
     total = sum(p[1:], p[0])
     m = total.nums[0] // R
     if not (0 <= m <= n and total == R * m):
         m = 0
-    d = n - m
-    q = [x - m for x in p[:d + 1]]
+    d, N, L = n - m, group.field.order, lcm(group.field.order, R)
+    prime, omega = split_prime(cyclotomic_field(L).order)  # the field cap first
+    powers = [pow(omega, L // N * k, prime) for k in range(group.field.degree)]
+    q = [(sum(c * w for c, w in zip(t.nums, powers)) * pow(t.den, -1, prime) - m)
+         % prime for t in p[:d + 1]]
     coeffs = [1]  # c_0
     for k in range(1, d + 1):
         s = sum((coeffs[k - i] * q[i] for i in range(1, min(k, R))),
                 q[k] if k < R else (R + d - k) * coeffs[k - R])
-        coeffs.append(-s if k == 1 else s * Fraction(-1, k))
-    field = cyclotomic_field(lcm(group.field.order, R))
-    coeffs = [c.embed(field) for c in coeffs[1:]]
+        coeffs.append(-s * pow(k, -1, prime) % prime)
     exponents, a = [0] * m, 1
-    while coeffs and a < R:
-        z = field.zeta(field.order // R * a)
-        quotient = [coeffs[0] + z]  # its last entry is the remainder
-        for c in coeffs[1:]:  # times z = -1 is no field product
-            prev = quotient[-1]
-            quotient.append(c + (-prev if 2 * a == R else prev * z))
-        if quotient.pop():
+    while len(coeffs) > 1 and a < R:  # coeffs[0] = 1 leads
+        z = pow(omega, L // R * a, prime)
+        *quotient, rest = accumulate(coeffs[1:], lambda b, c: (b * z + c) % prime, initial=1)
+        if rest:
             a += 1
         else:
             exponents.append(a)
@@ -93,6 +103,11 @@ def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
         raise InternalInvariantError(
             f"the characteristic polynomial of element {group.describe(walk[1])} "
             f"has {len(exponents)} of its {n} roots among the {R}-th roots of unity")
+    if (k := power_sum_miss(group, walk[1], R, exponents,
+                            range(1, min(d, R - 1) + 1))) is not None:
+        raise InternalInvariantError(
+            f"the roots found modulo the split prime for element {group.describe(walk[1])}, "
+            f"raised to the power {k}, do not sum to the trace of its power {k}")
     return exponents
 
 
@@ -109,9 +124,7 @@ def eigen_exponents(group: MatrixGroup, index: int) -> FractionalExpression:
     g = gcd(R, k)
     r = R // g
     exponents = sorted(a * k % R // g for a in known[x])
-    field = cyclotomic_field(lcm(group.field.order, r))
-    roots = field.element(Counter(field.order // r * e for e in exponents))
-    if roots != group.trace(index).embed(field):
+    if power_sum_miss(group, index, r, exponents, (1,)) is not None:
         raise InternalInvariantError(f"the eigenvalues derived for element "
                                      f"{group.describe(index)} do not sum to its trace")
     return FractionalExpression(r, tuple(exponents))

@@ -18,9 +18,9 @@ once.  `fractions.Fraction` appears only at the boundaries:
 building elements from rational coefficients, reading them back
 (`as_rational`, `to_literal`), and hashing a rational element.
 
-What needs a division runs modulo a split prime P = 1 (mod lcm(2, R)),
+Division and root search run modulo a split prime P = 1 (mod lcm(2, R)),
 where zeta maps to an omega of order R (`split_prime`): the modular method
-of von zur Gathen and Gerhard (Modern Computer Algebra, chapter 5).
+of von zur Gathen and Gerhard (Modern Computer Algebra, chapters 5, 14).
 
 Convention: the field generator ``zeta`` is the distinguished primitive
 R-th root of unity.  All gradings downstream depend on this choice; the
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 from operator import add, sub
 
@@ -171,24 +172,27 @@ def is_prime(n: int) -> bool:
                for x in (pow(a, (n - 1) >> s, n) for a in _WITNESSES))
 
 
-@lru_cache(maxsize=None)
 def split_prime(order: int, above: int = 2 ** 62) -> tuple[int, int]:
     """The first prime P > `above` with P = 1 (mod M), M = lcm(2, order),
     and omega of order exactly `order` mod P: the image of zeta under
     Q(zeta_order) -> F_P, where the roots of unity mu_M map injectively.
-    omega is x^(M/order) for the first x = a^((P-1)/M), a = 2, 3, ..., of
-    order M, that is with x^(M/q) != 1 for every prime q dividing M."""
+    omega is x^(M/order) for the x of order M that `_split` finds once per
+    (M, above), so orders sharing M share P."""
     m = lcm(2, order)
-    p = above - above % m + 1
-    while p <= above or not is_prime(p):
-        p += m
+    p, x = _split(m, above)
+    return p, pow(x, m // order, p)
+
+
+@lru_cache(maxsize=None)
+def _split(m: int, above: int) -> tuple[int, int]:
+    """P for `split_prime`, and the first x = a^((P-1)/m), a = 2, 3, ..., of
+    order m: with x^(m/q) != 1 for every prime q dividing m."""
+    p = next(p for p in count(above - above % m + 1, m) if p > above and is_prime(p))
     factors = prime_factors(m)
-    a = 2
-    while True:
+    for a in count(2):
         x = pow(a, (p - 1) // m, p)
         if all(pow(x, m // q, p) != 1 for q in factors):
-            return p, pow(x, m // order, p)
-        a += 1
+            return p, x
 
 
 def _terms(nums: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -30,13 +30,11 @@ d_i^{b_j} = 1 for all j, hence d_i = 1, with no special case.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd
 
-from .age import FractionalExpression, eigen_exponents
-from .cyclo import cyclotomic_field
+from .age import FractionalExpression, eigen_exponents, power_sum_miss
 from .errors import InternalInvariantError, ProbeCapError, RequirementError
 from .matgroup import MatrixGroup
 from .record import Record, ValueRecord
@@ -84,18 +82,13 @@ def monomial_valuation(group: MatrixGroup, index: int) -> MonomialValuation:
     sum_i zeta_r^(k a_i) = Tr(g^k) for k = 1..min(n, r - 1).  Both sides
     have period r in k and equal n at k = 0, so these k give p_1..p_n, and
     by Newton's identities p_1..p_n fix the multiset of n eigenvalues.
-    `eigen_exponents` has compared k = 1 in the same field Q(zeta_lcm(N, r)),
-    so the loop starts at k = 2."""
+    `eigen_exponents` has compared k = 1, so this starts at k = 2."""
     expr = eigen_exponents(group, index)
-    field = cyclotomic_field(lcm(group.field.order, expr.r))
-    step = field.order // expr.r
-    for k in range(2, min(group.dimension, expr.r - 1) + 1):
-        power_sum = field.element(Counter(step * k * a for a in expr.exponents))
-        if power_sum != group.trace(group.power(index, k)).embed(field):
-            raise InternalInvariantError(
-                f"the eigenvalues derived for element {group.describe(index)}, "
-                f"raised to the power {k}, do not sum to the trace of its "
-                f"power {k}")
+    if (k := power_sum_miss(group, index, expr.r, expr.exponents,
+                            range(2, min(group.dimension, expr.r - 1) + 1))) is not None:
+        raise InternalInvariantError(
+            f"the eigenvalues derived for element {group.describe(index)}, raised "
+            f"to the power {k}, do not sum to the trace of its power {k}")
     return MonomialValuation(_primitivize(expr.exponents), index, expr)
 
 

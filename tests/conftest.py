@@ -2,7 +2,7 @@ import pathlib
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 from mckay.cyclo import CycNum, _terms, cyclotomic_field
 from mckay.groupfile import parse_group_file
@@ -119,6 +119,41 @@ def oracle_cyclotomic_polynomial(order):
             num[k + j] -= q * b
     assert not any(num), "x^order - 1 is not divisible by the product"
     return tuple(out)
+
+
+def oracle_walk_exponents(group, walk):
+    """The exponents of the eigenvalues zeta_R^a of x = walk[1], R =
+    len(walk), by the exact search `age._walk_exponents` replaced: Newton's
+    identities and Horner's rule on CycNum values with Fraction factors in
+    Q(zeta_lcm(N, R)).  None where the polynomial does not split into n
+    roots among the R-th roots of unity."""
+    n, R = group.dimension, len(walk)
+    p = [group.trace(y) for y in walk]
+    total = sum(p[1:], p[0])
+    m = total.nums[0] // R
+    if not (0 <= m <= n and total == R * m):
+        m = 0
+    d = n - m
+    q = [x - m for x in p[:d + 1]]
+    coeffs = [1]  # c_0
+    for k in range(1, d + 1):
+        s = sum((coeffs[k - i] * q[i] for i in range(1, min(k, R))),
+                q[k] if k < R else (R + d - k) * coeffs[k - R])
+        coeffs.append(-s if k == 1 else s * Fraction(-1, k))
+    field = cyclotomic_field(lcm(group.field.order, R))
+    coeffs = [c.embed(field) for c in coeffs[1:]]
+    exponents, a = [0] * m, 1
+    while coeffs and a < R:
+        z = field.zeta(field.order // R * a)
+        quotient = [coeffs[0] + z]  # its last entry is the remainder
+        for c in coeffs[1:]:
+            quotient.append(c + quotient[-1] * z)
+        if quotient.pop():
+            a += 1
+        else:
+            exponents.append(a)
+            coeffs = quotient
+    return exponents if len(exponents) == n else None
 
 
 def oracle_det(a):

@@ -25,7 +25,7 @@ from mckay.toric import DiagonalGroupSpec
 
 from conftest import (CORPUS, close, close_spec, closed_group, dense, element_matrix,
                       graded_table, group_path, mat_mul, oracle_mat_inv, oracle_rref,
-                      trace)
+                      oracle_walk_exponents, trace)
 from test_toric import diagonal_specs
 
 
@@ -131,6 +131,26 @@ def _counted_walks(monkeypatch):
 
     monkeypatch.setattr(age, "_walk_exponents", counted)
     return walks
+
+
+def _assert_walks_match_exact_search(group):
+    for walk in group._walks:
+        if walk[1 % len(walk)]:  # the identity's walk needs no polynomial
+            assert age._walk_exponents(group, walk) == oracle_walk_exponents(group, walk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=diagonal_specs(max_index=240, max_order=60, sl=None, dims=(1, 6)))
+def test_modular_exponents_match_the_exact_search_on_diagonal_groups(spec):
+    _assert_walks_match_exact_search(close_spec(spec))
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_modular_exponents_match_the_exact_search_on_the_corpus(name, inverse):
+    group_file = parse_group_file(group_path(name))
+    _assert_walks_match_exact_search(
+        (group_file.inverted() if inverse else group_file).close())
 
 
 def test_grade_builds_one_polynomial_for_a_cyclic_group(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mckay import cli, toric
+from mckay import age, cli, cyclo, toric
 from mckay.cli import main
 from mckay.cyclo import MAX_FIELD_ORDER, cyclotomic_field
 from mckay.groupfile import GroupFile
@@ -376,6 +376,58 @@ def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
     assert err == ("internal error: the characteristic polynomial of element "
                    "g1 (order 7) has 0 of its 3 roots among the 7-th roots "
                    "of unity\n")
+
+
+def test_roots_whose_powers_miss_the_traces_fail_the_certificate(capsys, monkeypatch):
+    # add the split prime P of Q(zeta_7) to the trace of x^2, x = g1 in
+    # (1/7)(1,2,4): the traces keep their images mod P, so the search finds
+    # the roots (1, 2, 4), which sum to Tr(x) but whose squares miss the
+    # trace of x^2 in Q(zeta_7); exit 5, naming x and k = 2
+    def shift(group):
+        x = group.generator_indices[0]
+        square = group.power(x, 2)
+        group._traces[square] = group.trace(square) + cyclo.split_prime(7)[0]
+
+    _tamper_after_closing(monkeypatch, shift)
+    code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))
+    assert (code, out) == (5, "")
+    assert err == ("internal error: the roots found modulo the split prime for "
+                   "element g1 (order 7), raised to the power 2, do not sum to "
+                   "the trace of its power 2\n")
+
+
+@pytest.mark.parametrize("wrong", ["one", "power"])
+@pytest.mark.parametrize("command", [["classes"], ["ram", "--class", "1"]])
+@pytest.mark.parametrize("name", CORPUS)
+def test_an_omega_of_the_wrong_order_is_an_internal_error(
+        capsys, monkeypatch, name, command, wrong):
+    # zeta_L -> omega is then no ring map: whatever roots the search finds,
+    # the exact certificate refuses them, and no report is printed
+    def split_prime(order, above=2 ** 62):
+        prime, omega = cyclo.split_prime(order, above)
+        if wrong == "one":
+            return prime, 1
+        return prime, pow(omega, cyclo.prime_factors(order)[0], prime)
+
+    monkeypatch.setattr(age, "split_prime", split_prime)
+    code, out, err = run(capsys, *command, str(group_path(name)))
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("command", [["classes"], ["betti"], ["ram", "--class", "1"]])
+def test_eigenvalue_field_cap(capsys, tmp_path, command):
+    # the cyclic permutation of order 3 over Q(zeta_2048): its eigenvalues
+    # live in Q(zeta_6144), refused before any root is searched
+    path = tmp_path / "permutation.grp"
+    path.write_text(f"format matrix\ndimension 3\ncyclotomic_order {MAX_FIELD_ORDER}\n"
+                    "generator C\n0, 1, 0\n0, 0, 1\n1, 0, 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == (f"error: cyclotomic order {3 * MAX_FIELD_ORDER} exceeds the "
+                   f"limit of {MAX_FIELD_ORDER}\n")
 
 
 def test_classes_on_a_cyclic_group_of_order_211(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay import cyclo
 from mckay.age import grade
 from mckay.cyclo import (
     MAX_FIELD_ORDER,
@@ -455,6 +456,21 @@ def test_split_prime_is_the_first_and_maps_zeta_to_order_exactly(order):
     # the next one starts above this one
     following, _ = split_prime(order, prime)
     assert following > prime and following % m == 1 and is_prime(following)
+
+
+@pytest.mark.parametrize("orders", [(1, 2), (3, 6), (5, 10), (1023, 2046)])
+def test_orders_sharing_lcm_2_share_the_split_prime(orders):
+    # one search for a prime and an element of order M = lcm(2, R) per M,
+    # whichever order asks first; each omega is a power of exact order R
+    cyclo._split.cache_clear()
+    primes = set()
+    for order in orders:
+        prime, omega = split_prime(order)
+        primes.add(prime)
+        assert pow(omega, order, prime) == 1
+        assert all(pow(omega, order // q, prime) != 1 for q in prime_factors(order))
+    assert len(primes) == 1
+    assert cyclo._split.cache_info().misses == 1
 
 
 def test_field_order_limit():

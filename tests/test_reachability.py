@@ -27,9 +27,18 @@ NEVER_RUN = {
                            "fails to pair, for internal errors",
     "cyclo.CycNum.__hash__": "__hash__: an element hashes as it compares; the "
                              "closure dedupes integer rows, not CycNum",
+    "cyclo.CycNum.__mul__": "documented exact field arithmetic; the per-scalar "
+                            "test oracles are built on it",
+    "cyclo.CycNum.__neg__": "documented exact field arithmetic; the per-scalar "
+                            "test oracles are built on it",
     "cyclo.CycNum.__repr__": "__repr__",
+    "cyclo.CycNum.__sub__": "documented exact field arithmetic; the per-scalar "
+                            "test oracles are built on it",
     "cyclo.CyclotomicField.__repr__": "__repr__, also the field names of a "
                                       "field-mismatch error",
+    "cyclo.CyclotomicField.from_rational": "documented exact field arithmetic; "
+                                           "the per-scalar test oracles are "
+                                           "built on it",
     "matgroup.ConjugacyClass.__repr__": "__repr__",
     "matgroup.CyclicSubgroup.__len__": "__len__",
     "matgroup.MatrixGroup.__len__": "__len__",
