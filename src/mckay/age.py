@@ -4,8 +4,9 @@ Eigenvalue exponents come from one characteristic polynomial per power
 walk, of the d eigenvalues other than 1: the element x^k of the walk of x
 has the k-th powers of the eigenvalues of x.  Its roots are found in
 O(R*d) products of integers modulo a split prime and certified by exact
-power sums.  Grading is attached to conjugacy classes through a
-representative, with class-constancy asserted at runtime.
+power sums, all on the integer numerators of the traces.  Grading is
+attached to conjugacy classes through a representative, with
+class-constancy asserted at runtime.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ class FractionalExpression(ValueRecord):
 
 def power_sum_miss(group: MatrixGroup, index: int, r: int, exponents, ks):
     """The first k in `ks` with sum_a zeta_r^(k a) != Tr(g^k), g of order r
-    with the `exponents` a, compared exactly in Q(zeta_lcm(N, r)), or None."""
+    with the `exponents` a, compared on integers in Q(zeta_lcm(N, r)), or None."""
     field = cyclotomic_field(lcm(group.field.order, r))
     for k in ks:
         power_sum = field.element(Counter(field.order // r * k * a for a in exponents))
-        if power_sum != group.trace(group.power(index, k)).embed(field):
+        if power_sum.nums != field.embed(group.trace(group.power(index, k)), group.field):
             return k
 
 
@@ -76,15 +77,12 @@ def _walk_exponents(group: MatrixGroup, walk) -> list[int]:
     polynomial, certify the n roots."""
     n, R = group.dimension, len(walk)
     p = [group.trace(y) for y in walk]
-    total = sum(p[1:], p[0])
-    m = total.nums[0] // R
-    if not (0 <= m <= n and total == R * m):
-        m = 0
+    first, *rest = map(sum, zip(*p))  # the trace total, column by column
+    m = first // R if first % R == 0 and 0 <= first <= n * R and not any(rest) else 0
     d, N, L = n - m, group.field.order, lcm(group.field.order, R)
     prime, omega = split_prime(cyclotomic_field(L).order)  # the field cap first
     powers = [pow(omega, L // N * k, prime) for k in range(group.field.degree)]
-    q = [(sum(c * w for c, w in zip(t.nums, powers)) * pow(t.den, -1, prime) - m)
-         % prime for t in p[:d + 1]]
+    q = [(sum(c * w for c, w in zip(t, powers)) - m) % prime for t in p[:d + 1]]
     coeffs = [1]  # c_0
     for k in range(1, d + 1):
         s = sum((coeffs[k - i] * q[i] for i in range(1, min(k, R))),

@@ -17,6 +17,8 @@ sparse integer rows of a closure, reducing each entry's sum of products
 once.  `fractions.Fraction` appears only at the boundaries:
 building elements from rational coefficients, reading them back
 (`as_rational`, `to_literal`), and hashing a rational element.
+`CyclotomicField.embed` lifts integer numerators into a larger field.  No
+command runs a `CycNum` sum, product or comparison.
 
 Division and root search run modulo a split prime P = 1 (mod lcm(2, R)),
 where zeta maps to an omega of order R (`split_prime`): the modular method
@@ -146,6 +148,21 @@ class CyclotomicField:
                 for i, t in self._power_table[k % self.order]:
                     nums[i] += scaled * t
         return CycNum(self, tuple(nums), den * scale)
+
+    def embed(self, nums: tuple[int, ...], source: "CyclotomicField") -> tuple[int, ...]:
+        """The numerators `nums` of Q(zeta_N) = `source` mapped into this
+        Q(zeta_M) under zeta_N -> zeta_M^(M/N), N | M; `nums` if the same."""
+        n, m = source.order, self.order
+        if m % n != 0:
+            raise RequirementError(f"no embedding: {n} does not divide {m}")
+        if source is self:
+            return nums
+        out = [0] * self.degree
+        for k, c in enumerate(nums):
+            if c:
+                for i, t in self._power_table[k * m // n]:
+                    out[i] += c * t
+        return tuple(out)
 
     def __repr__(self):
         return f"Q(zeta_{self.order})"
@@ -277,14 +294,7 @@ class CycNum:
                                         zip(self.nums, other.nums)), d1 * d2)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return CycNum(self.field, tuple(map(sub, self.nums, other.nums)), d1)
-        return CycNum(self.field, tuple(a * d2 - b * d1 for a, b in
-                                        zip(self.nums, other.nums)), d1 * d2)
+        return self + -other
 
     def __neg__(self):
         return CycNum(self.field, tuple(-a for a in self.nums), self.den)
@@ -331,18 +341,7 @@ class CycNum:
 
     def embed(self, target: CyclotomicField) -> "CycNum":
         """Image in Q(zeta_M) under zeta_N -> zeta_M^(M/N); requires N | M."""
-        n, m = self.field.order, target.order
-        if m % n != 0:
-            raise RequirementError(f"no embedding: {n} does not divide {m}")
-        if target is self.field:
-            return self
-        step = m // n
-        nums = [0] * target.degree
-        for k, c in enumerate(self.nums):
-            if c:
-                for i, t in target._power_table[k * step]:
-                    nums[i] += c * t
-        return CycNum(target, tuple(nums), self.den)
+        return CycNum(target, target.embed(self.nums, self.field), self.den)
 
     def to_literal(self) -> str:
         """Deterministic literal string, e.g. '-1/2*z^3 + 1/2*z'."""

@@ -22,6 +22,7 @@ conjugation by the generators, g^-1 x g = (x^-1 g)^-1 g from the table;
 the maximal cyclic subgroups are the walks that no other walk contains.
 An element is the tuple of its row ids into the group's one list of
 distinct rows; its order, inverse, class and trace are kept by the group.
+A trace is kept as its integer numerators, one tuple per distinct trace.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class MatrixGroup:
                     self.orders[y] = len(walk) // gcd(len(walk), k)
         self.inverses = [walk[-k % len(walk)] for walk, k in self.places]
         self.exponent = lcm(*(len(walk) for walk in self._walks))
-        self._traces = [None] * len(elements)
+        self._traces, self._distinct_traces = [None] * len(elements), {}
         self.walk_exponents = {}
         self.class_of = [None] * len(elements)
         self.classes = self._conjugacy_classes()
@@ -143,11 +144,16 @@ class MatrixGroup:
         walk, k = self.places[i]
         return walk[k * m % len(walk)]
 
-    def trace(self, i: int):
-        """The trace of elements[i], computed on first use and kept."""
+    def trace(self, i: int) -> tuple[int, ...]:
+        """The trace of elements[i], an algebraic integer, as its phi(N) integer
+        numerators; computed on first use, equal traces kept as one tuple."""
         t = self._traces[i]
         if t is None:
-            t = self._traces[i] = _trace(self.field, self.rows, self.elements[i])
+            nums, den = _trace(self.field, self.rows, self.elements[i])
+            if den != 1:
+                raise InternalInvariantError(
+                    f"the trace of element {self.describe(i)} is not integral")
+            t = self._traces[i] = self._distinct_traces.setdefault(nums, nums)
         return t
 
     def element_name(self, i: int) -> str:
@@ -228,9 +234,15 @@ class _Lazy(dict):
 
 
 def _trace(field, rows, ids):
-    """The sum of entry i of row i over the rows `ids` of an element."""
-    return sum((CycNum(field, nums, den) for i, r in enumerate(ids)
-                for j, nums, den in rows[r] if j == i), field.zero())
+    """The normal form (nums, den) of the sum of entry i of row i over the
+    rows `ids` of an element, summed on integers over one denominator."""
+    entries = [(nums, d) for i, r in enumerate(ids) for j, nums, d in rows[r] if j == i]
+    den = lcm(*(d for _, d in entries))
+    nums = tuple(map(sum, zip(field.zero().nums, *(
+        nums if d == den else [c * (den // d) for c in nums] for nums, d in entries))))
+    if den != 1 and (g := gcd(den, *nums)) != 1:
+        nums, den = tuple(c // g for c in nums), den // g
+    return nums, den
 
 
 def _require_finite_order(field, rows, ids, names, tree, entry):
@@ -238,13 +250,13 @@ def _require_finite_order(field, rows, ids, names, tree, entry):
     integral in the power basis of Z[zeta_N] and, when rational, at most n
     in absolute value.  Otherwise the word of length 1 or 2 of the tree
     `entry` (j, k, m) is named: g_k^m after the one letter of element j."""
-    n, t = len(ids), _trace(field, rows, ids)
-    q = t.as_rational()
-    if t.den != 1 or (q is not None and abs(q) > n):
+    n, (nums, den) = len(ids), _trace(field, rows, ids)
+    if den != 1 or (not any(nums[1:]) and abs(nums[0]) > n):
         j, k, m = entry
         word = (f"{names[tree[j][1]]}*" if j else "") + names[k] + (f"^{m}" if m > 1 else "")
         raise RequirementError(f"{'element' if j or m > 1 else 'generator'} {word} "
-                               f"has infinite order: its trace {t.to_literal()} "
+                               f"has infinite order: its trace "
+                               f"{CycNum(field, nums, den).to_literal()} "
                                f"is not a sum of {n} roots of unity")
 
 

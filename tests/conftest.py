@@ -128,7 +128,7 @@ def oracle_walk_exponents(group, walk):
     Q(zeta_lcm(N, R)).  None where the polynomial does not split into n
     roots among the R-th roots of unity."""
     n, R = group.dimension, len(walk)
-    p = [group.trace(y) for y in walk]
+    p = [CycNum(group.field, group.trace(y)) for y in walk]
     total = sum(p[1:], p[0])
     m = total.nums[0] // R
     if not (0 <= m <= n and total == R * m):

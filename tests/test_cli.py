@@ -358,19 +358,24 @@ def test_internal_error_names_the_element(capsys, monkeypatch):
                    "of its power 2\n")
 
 
-def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
-        capsys, monkeypatch):
-    # give the walk generator g1 of (1/7)(1,2,4) the matrix diag(2, 3, 1/6),
-    # whose eigenvalues are no 7th roots of unity
+def _replace_generator(diagonal):
+    """A tamper giving the walk generator g1 the matrix diag(`diagonal`)."""
     def replace_generator(group):
         ids = []
-        for i, d in enumerate((Fraction(2), Fraction(3), Fraction(1, 6))):
+        for i, d in enumerate(diagonal):
             x = group.field.from_rational(d)
             ids.append(len(group.rows))
             group.rows.append(((i, x.nums, x.den),))
         group.elements[group.generator_indices[0]] = tuple(ids)
 
-    _tamper_after_closing(monkeypatch, replace_generator)
+    return replace_generator
+
+
+def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
+        capsys, monkeypatch):
+    # give the walk generator g1 of (1/7)(1,2,4) the matrix diag(2, 3, 5),
+    # whose eigenvalues are no 7th roots of unity
+    _tamper_after_closing(monkeypatch, _replace_generator((2, 3, 5)))
     code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))
     assert (code, out) == (5, "")
     assert err == ("internal error: the characteristic polynomial of element "
@@ -378,15 +383,26 @@ def test_characteristic_polynomial_that_does_not_split_is_an_internal_error(
                    "of unity\n")
 
 
+@pytest.mark.parametrize("command", [["classes"], ["ram", "--class", "1"]])
+def test_a_trace_that_is_not_integral_is_an_internal_error(capsys, monkeypatch, command):
+    # diag(2, 3, 1/6) has the trace 31/6; a sum of roots of unity is an
+    # algebraic integer, so `trace` refuses it before any grading
+    _tamper_after_closing(monkeypatch, _replace_generator((2, 3, Fraction(1, 6))))
+    code, out, err = run(capsys, *command, str(group_path("cyclic_7_124")))
+    assert (code, out) == (5, "")
+    assert err == "internal error: the trace of element g1 (order 7) is not integral\n"
+
+
 def test_roots_whose_powers_miss_the_traces_fail_the_certificate(capsys, monkeypatch):
-    # add the split prime P of Q(zeta_7) to the trace of x^2, x = g1 in
-    # (1/7)(1,2,4): the traces keep their images mod P, so the search finds
-    # the roots (1, 2, 4), which sum to Tr(x) but whose squares miss the
-    # trace of x^2 in Q(zeta_7); exit 5, naming x and k = 2
+    # add the split prime P of Q(zeta_7) to the first numerator of the trace
+    # of x^2, x = g1 in (1/7)(1,2,4): the traces keep their images mod P, so
+    # the search finds the roots (1, 2, 4), which sum to Tr(x) but whose
+    # squares miss the trace of x^2 in Q(zeta_7); exit 5, naming x and k = 2
     def shift(group):
         x = group.generator_indices[0]
         square = group.power(x, 2)
-        group._traces[square] = group.trace(square) + cyclo.split_prime(7)[0]
+        first, *rest = group.trace(square)
+        group._traces[square] = (first + cyclo.split_prime(7)[0], *rest)
 
     _tamper_after_closing(monkeypatch, shift)
     code, out, err = run(capsys, "classes", str(group_path("cyclic_7_124")))

@@ -380,7 +380,8 @@ def test_hot_path_does_no_fraction_arithmetic(monkeypatch):
             assert [hash(x) for row in product for x in row] == \
                 [hash(x) for row in image for x in row]
         embedded = tuple(tuple(x.embed(target) for x in row) for row in element)
-        assert trace(embedded) == icosahedral.trace(index).embed(target)
+        assert trace(embedded) == \
+            CycNum(icosahedral.field, icosahedral.trace(index)).embed(target)
     for name, group in groups.items():
         assert grade(group).buckets == expected[name]
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay import cyclo, linalg
+from mckay import cyclo, linalg, matgroup
 from mckay.age import eigen_exponents, grade
-from mckay.cyclo import cyclotomic_field
+from mckay.cyclo import CycNum, cyclotomic_field
 from mckay.errors import ClosureCapError, InternalInvariantError, RequirementError
 from mckay.groupfile import GroupFile, parse_group_file
 from mckay.matgroup import MatrixGroup, close_group
@@ -20,7 +20,7 @@ from mckay.valuation import monomial_valuation, ram_group, stab_group
 
 from conftest import (CORPUS, close, close_spec, closed_group, dense, element_matrix,
                       group_path, identity, mat_mul, oracle_det, oracle_mat_inv,
-                      sparse)
+                      sparse, trace)
 from test_linalg import oracle_mat_mul
 from test_valuation import embed
 
@@ -250,6 +250,46 @@ def test_closure_matches_matrix_product_oracle_on_corpus(name, choice):
     if choice == "inverse":
         gf = gf.inverted()
     assert_closure_matches_oracle(inverted_generators(gf), gf.generator_names)
+
+
+@pytest.mark.parametrize("choice", ["standard", "inverse"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_traces_match_the_dense_oracle_on_corpus(name, choice):
+    # the integer numerators of every trace give the trace of the element's
+    # matrix; bt48 has entries with denominator 2, which the trace scales
+    # to a common denominator and cancels
+    gf = parse_group_file(group_path(name))
+    group = (gf.inverted() if choice == "inverse" else gf).close()
+    for i in range(len(group)):
+        t = group.trace(i)
+        assert type(t) is tuple and all(type(c) is int for c in t)
+        assert CycNum(group.field, t) == trace(element_matrix(group, i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 12]), st.integers(1, 4), st.data())
+def test_trace_sums_mixed_denominators_like_the_dense_oracle(order, n, data):
+    # diagonal entries over different denominators, zero entries included:
+    # the numerators are scaled to the lcm, summed, and cancelled to the
+    # normal form of the oracle's CycNum sum
+    field = cyclotomic_field(order)
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    matrix = [[field.element(data.draw(st.dictionaries(st.integers(0, order - 1),
+                                                       coefficient, max_size=3)))
+               for _ in range(n)] for _ in range(n)]
+    expected = trace(matrix)
+    assert matgroup._trace(field, sparse(matrix), range(n)) == (expected.nums, expected.den)
+
+
+def test_equal_traces_are_one_tuple():
+    # (1/12)(1,11,0) + (1/12)(0,1,11): the 144 elements have 31 traces,
+    # each kept once however many elements share it
+    group = close_spec(DiagonalGroupSpec(3, ((12, (1, 11, 0)), (12, (0, 1, 11)))))
+    traces = [group.trace(i) for i in range(len(group))]
+    for i, t in enumerate(traces):
+        for j in range(i):
+            assert (t is traces[j]) == (t == traces[j])
+    assert len({id(t) for t in traces}) == len(set(traces)) < len(traces)
 
 
 def _repeated_generators():

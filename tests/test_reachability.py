@@ -25,6 +25,10 @@ NEVER_RUN = {
     "age.FractionalExpression.__hash__": "__hash__: a value record hashes as it compares",
     "age._unpaired_class": "error-message helper: names the class that g -> g^-1 "
                            "fails to pair, for internal errors",
+    "cyclo.CycNum.__add__": "documented exact field arithmetic; the per-scalar "
+                            "test oracles are built on it",
+    "cyclo.CycNum.__eq__": "documented exact field arithmetic; the per-scalar "
+                           "test oracles are built on it",
     "cyclo.CycNum.__hash__": "__hash__: an element hashes as it compares; the "
                              "closure dedupes integer rows, not CycNum",
     "cyclo.CycNum.__mul__": "documented exact field arithmetic; the per-scalar "
@@ -34,6 +38,12 @@ NEVER_RUN = {
     "cyclo.CycNum.__repr__": "__repr__",
     "cyclo.CycNum.__sub__": "documented exact field arithmetic; the per-scalar "
                             "test oracles are built on it",
+    "cyclo.CycNum._operand": "documented exact field arithmetic; the per-scalar "
+                             "test oracles are built on it",
+    "cyclo.CycNum.as_rational": "documented exact field arithmetic; the per-scalar "
+                                "test oracles are built on it",
+    "cyclo.CycNum.embed": "documented exact field arithmetic; the per-scalar "
+                          "test oracles are built on it",
     "cyclo.CyclotomicField.__repr__": "__repr__, also the field names of a "
                                       "field-mismatch error",
     "cyclo.CyclotomicField.from_rational": "documented exact field arithmetic; "
